@@ -68,3 +68,112 @@ def rank_of_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int, p: int) 
     for row in rows:
         red.add_row(row)
     return red.rank
+
+
+def _remainder(x: np.ndarray, p: int) -> None:
+    """x %= p in place, exactly, for float64 integers of magnitude below 2^53.
+
+    np.remainder is several times slower.  For |x| < 2^53 the truncated
+    quotient from multiplying by 1/p is within one of the true one and its
+    product with p is still exact, so x - p*quotient lies in (-2p, 2p) and
+    three masked corrections bring it into [0, p).
+    """
+    q = x * (1.0 / p)
+    np.trunc(q, out=q)
+    q *= p
+    x -= q
+    x[x < 0] += p
+    x[x >= p] -= p
+    x[x < 0] += p
+
+
+class RrefBasis:
+    """Reduced row echelon basis of a growing row space over F_p, fed dense
+    blocks of rows.
+
+    Entries are float64 integers in [0, p), so a whole block is reduced
+    against the basis with one BLAS product, ``B -= B[:, piv] @ E``.  Every
+    intermediate is an integer of magnitude at most ncols*(p-1)^2, which
+    float64 holds exactly while that stays below 2^53; the constructor
+    refuses larger shapes.  The rows that survive are brought to reduced
+    echelon form by a recursive Gauss-Jordan whose steps are again matrix
+    products, and the basis is then back-reduced in place.
+
+    The reduced echelon form of a row space is unique, so rank and pivot
+    columns depend only on the rows fed, not on their order or on how they
+    are split into blocks: they agree with RowReducer's.
+    """
+
+    _SLAB_ROWS = 64  # bounds the temporary of an in-place product
+
+    def __init__(self, ncols: int, p: int):
+        if ncols < 0:
+            raise ValueError("ncols must be nonnegative")
+        if ncols * (p - 1) ** 2 >= 2**53:
+            raise ValueError(
+                "ncols*(p-1)^2 = %d is not below 2^53: float64 elimination "
+                "would not be exact" % (ncols * (p - 1) ** 2)
+            )
+        self.ncols = ncols
+        self.p = p
+        # Room for the largest possible rank; np.zeros leaves the pages of
+        # rows not yet added untouched, so they cost no resident memory.
+        self._rows = np.zeros((ncols, ncols))
+        self._pivots = np.zeros(ncols, dtype=np.intp)
+        self._rank = 0
+
+    @property
+    def rank(self) -> int:
+        return self._rank
+
+    @property
+    def pivot_columns(self) -> tuple[int, ...]:
+        return tuple(sorted(self._pivots[: self._rank].tolist()))
+
+    def add_rows(self, block: np.ndarray) -> int:
+        """Reduce a float64 block of rows (entries integers in [0, p)) into
+        the basis; the block is overwritten.  Returns the rank gained."""
+        if block.ndim != 2 or block.shape[1] != self.ncols or block.dtype != np.float64:
+            raise ValueError("block must be a float64 array with %d columns" % self.ncols)
+        r = self._rank
+        basis, pivots = self._rows[:r], self._pivots[:r]
+        if r:
+            self._reduce(block, pivots, basis)
+        new_rows, new_pivots = self._rref(block[block.any(axis=1)])
+        k = len(new_pivots)
+        if k == 0:
+            return 0
+        if r:
+            self._reduce(basis, new_pivots, new_rows)
+        self._rows[r : r + k] = new_rows
+        self._pivots[r : r + k] = new_pivots
+        self._rank = r + k
+        return k
+
+    def _reduce(self, rows: np.ndarray, pivots, basis: np.ndarray) -> None:
+        """rows -= rows[:, pivots] @ basis (mod p), in place."""
+        for s in range(0, len(rows), self._SLAB_ROWS):
+            part = rows[s : s + self._SLAB_ROWS]
+            part -= part[:, pivots] @ basis
+            _remainder(part, self.p)
+
+    def _rref(self, rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Reduced echelon rows and their pivots for nonzero rows that
+        already vanish on the basis pivots."""
+        if len(rows) == 0:
+            return rows, []
+        if len(rows) == 1:
+            row = rows[0]
+            lead = int(np.flatnonzero(row)[0])
+            row = row * inverse_mod(int(row[lead]), self.p)
+            _remainder(row, self.p)
+            return row[None, :], [lead]
+        half = len(rows) // 2
+        top, top_pivots = self._rref(rows[:half])
+        rest = rows[half:]
+        self._reduce(rest, top_pivots, top)
+        low, low_pivots = self._rref(rest[rest.any(axis=1)])
+        if not low_pivots:
+            return top, top_pivots
+        self._reduce(top, low_pivots, low)
+        return np.concatenate([top, low]), top_pivots + low_pivots

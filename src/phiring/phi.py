@@ -172,6 +172,20 @@ def closed_form_series(ctx: GroupContext, cutoff: int) -> HilbertSeries:
     return HilbertSeries(tuple(coeffs), "closed-form")
 
 
+def check_oracle_dominated(oracle_dims, pres_dims) -> None:
+    """Raise RuntimeError unless oracle <= presentation in every weight.
+
+    Every relation vanishes in the oracle, so the oracle dimension can never
+    exceed the presentation dimension; a weight where it does means one of
+    the two routes computed a wrong number.
+    """
+    for w, (o, q) in enumerate(zip(oracle_dims, pres_dims)):
+        if o > q:
+            raise RuntimeError(
+                "oracle dimension %d exceeds presentation dimension %d at weight %d" % (o, q, w)
+            )
+
+
 @dataclass
 class VerifyReport:
     ctx: GroupContext
@@ -202,9 +216,9 @@ def verify_phi(
 ) -> VerifyReport:
     """Three-way comparison closed form / presentation / oracle up to the
     cutoff.  Every relation vanishes in the oracle, so the oracle dimension
-    can never exceed the presentation dimension; that inequality is asserted
-    unconditionally, and weightwise equality of all three tables certifies
-    the presentation through the cutoff.
+    can never exceed the presentation dimension; that inequality is checked
+    unconditionally (RuntimeError otherwise), and weightwise equality of all
+    three tables certifies the presentation through the cutoff.
     """
     closed = closed_form_series(ctx, cutoff).coeffs
     pres = build_phi_presentation(ctx, verbatim_mode)
@@ -220,8 +234,5 @@ def verify_phi(
     else:
         pres_dims = tuple(pres_dim(w) for w in weights)
     oracle_dims = tuple(oracle_table.entries[w] for w in weights)
-    for w in weights:
-        assert oracle_dims[w] <= pres_dims[w], (
-            "oracle dimension exceeds presentation dimension at weight %d" % w
-        )
+    check_oracle_dominated(oracle_dims, pres_dims)
     return VerifyReport(ctx, cutoff, verbatim_mode, closed, pres_dims, oracle_dims)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .charspace import Character, GroupContext, Line, canonicalize, enumerate_lines
 from .oracle import GradedDimensionTable, span_rank, subring_hilbert
-from .phi import line_presentation
+from .phi import check_oracle_dominated, line_presentation
 from .superalg import SuperMonomial, quotient_dimension
 
 
@@ -155,9 +155,9 @@ def localized_hilbert(
     quotient by the triple relations with all three lines inside the set.
 
     The relations vanish in the oracle, so oracle <= presentation holds
-    weightwise and is asserted; whether equality holds is reported, never
-    repaired, since triples leaving the set can contribute relations the
-    candidate presentation misses.
+    weightwise and is checked (RuntimeError otherwise); whether equality
+    holds is reported, never repaired, since triples leaving the set can
+    contribute relations the candidate presentation misses.
     """
     lines = tuple(sorted(set(lines)))
     if not lines:
@@ -175,8 +175,5 @@ def localized_hilbert(
     else:
         pres_dims = tuple(pres_dim(w) for w in weights)
     oracle_dims = tuple(table.entries[w] for w in weights)
-    for w in weights:
-        assert oracle_dims[w] <= pres_dims[w], (
-            "oracle dimension exceeds presentation dimension at weight %d" % w
-        )
+    check_oracle_dominated(oracle_dims, pres_dims)
     return LocalizedComparison(ctx, lines, cutoff, oracle_dims, pres_dims)

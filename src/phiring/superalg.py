@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
+import numpy as np
+
 from .charspace import GroupContext
-from .modp import RowReducer
+from .modp import RrefBasis
 
 
 def merge_odd(a: tuple, b: tuple) -> tuple[int, tuple | None]:
@@ -225,20 +227,22 @@ def _monomial_sort_key(gens: Sequence):
 
 def free_monomials(gens: Sequence, weight: int) -> list[SuperMonomial]:
     """All monomials of exact weight on the given ordered generator keys,
-    in the fixed order: odd length ascending, then odd part, then t-vector."""
+    in the fixed order: odd length ascending, then odd part, then t-vector,
+    with generators compared by their position in gens.  Monomials themselves
+    are normalized in key order, so gens need not be sorted."""
     if weight < 0:
         raise ValueError("weight must be >= 0")
-    gens = tuple(gens)
+    keyed = tuple(sorted(gens))
     out = []
-    for j in range(min(len(gens), weight), -1, -1):
+    for j in range(min(len(keyed), weight), -1, -1):
         if (weight - j) % 2:
             continue
         tdeg = (weight - j) // 2
-        for u_keys in itertools.combinations(gens, j):
-            for t_vec in _compositions(tdeg, len(gens)):
-                t_exp = tuple((g, e) for g, e in zip(gens, t_vec) if e)
+        for u_keys in itertools.combinations(keyed, j):
+            for t_vec in _compositions(tdeg, len(keyed)):
+                t_exp = tuple((g, e) for g, e in zip(keyed, t_vec) if e)
                 out.append(SuperMonomial(t_exp, u_keys))
-    out.sort(key=_monomial_sort_key(gens))
+    out.sort(key=_monomial_sort_key(tuple(gens)))
     return out
 
 
@@ -272,26 +276,130 @@ class _QuotientData:
     basis: tuple[SuperMonomial, ...]
 
 
-def _quotient_data(pres: Presentation, weight: int) -> _QuotientData:
+# Relation terms are multiplied by their shifts in slabs of about
+# _SLAB_PRODUCTS products.  Dense Macaulay rows go to the eliminator in chunks
+# of about _CHUNK_ENTRIES entries (128 KB of float64): with chunks of 64 rows
+# and more, the allocator kept enough freed temporaries resident to raise
+# the peak memory of phi-verify (7,2,5) by a tenth.  A chunk still has at
+# least _MIN_CHUNK_ROWS rows, so that wide blocks reduce in steps BLAS runs
+# efficiently and the basis is back-reduced at most once per that many rows.
+_SLAB_PRODUCTS = 1 << 16
+_CHUNK_ENTRIES = 1 << 14
+_MIN_CHUNK_ROWS = 32
+
+
+def _encode(monomials: Sequence[SuperMonomial], position: dict, dtype) -> np.ndarray:
+    """One row per monomial, one column per generator in key order, holding
+    2*(t-exponent) + (1 if the odd generator occurs).  With no generators
+    one zero column remains, so that the packed keys are not empty."""
+    codes = np.zeros((len(monomials), max(len(position), 1)), dtype=dtype)
+    for i, m in enumerate(monomials):
+        row = codes[i]
+        for k, e in m.t_exp:
+            row[position[k]] = 2 * e
+        for k in m.u_set:
+            row[position[k]] += 1
+    return codes
+
+
+def _packed(codes: np.ndarray) -> np.ndarray:
+    """Each code row as one opaque key that numpy can sort and search."""
+    codes = np.ascontiguousarray(codes)
+    return codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel()
+
+
+def _macaulay_entries(pres: Presentation, weight: int, position: dict, basis_codes: np.ndarray):
+    """Sparse entries (row, column, coefficient mod p) of the weight-w
+    Macaulay matrix: one row per relation times free monomial of the
+    complementary weight, relation on the left, vanishing rows omitted.
+
+    Generator positions are in key order, the order merge_odd uses, so the
+    Koszul sign of rel_term * shift is (-1) to the number of pairs (a, b)
+    of odd generators, a in the term and b in the shift, with b before a.
+    """
     p = pres.ctx.p
-    basis = free_monomials(pres.gens, weight)
-    col_of = {m: i for i, m in enumerate(basis)}
-    red = RowReducer(len(basis), p)
-    shifts: dict[int, list[SuperMonomial]] = {}
+    keys = _packed(basis_codes)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    by_weight: dict[int, list[SuperElement]] = {}
     for rel in pres.relations:
         w_rel = rel.weight()
-        if w_rel is None or w_rel > weight:
+        if w_rel <= weight:
+            by_weight.setdefault(w_rel, []).append(rel)
+    rows, cols, vals = [], [], []
+    row_base = 0
+    for w_rel, rels in sorted(by_weight.items()):
+        shift_codes = _encode(free_monomials(pres.gens, weight - w_rel), position, basis_codes.dtype)
+        n_shifts = len(shift_codes)
+        shift_odd = (shift_codes & 1).astype(np.float64)
+        # number of odd generators of each shift strictly before each position
+        shift_before = np.cumsum(shift_odd, axis=1) - shift_odd
+        terms = [(i, m, c) for i, rel in enumerate(rels) for m, c in rel.terms.items()]
+        term_codes = _encode([m for _, m, _ in terms], position, basis_codes.dtype)
+        term_rel = np.array([i for i, _, _ in terms], dtype=np.int64)
+        term_coef = np.array([c for _, _, c in terms], dtype=np.int64)
+        step = max(1, _SLAB_PRODUCTS // max(n_shifts, 1))
+        for lo in range(0, len(terms), step):
+            codes = term_codes[lo : lo + step]
+            odd = (codes & 1).astype(np.float64)
+            term, shift = np.nonzero(odd @ shift_odd.T == 0)
+            inversions = (odd @ shift_before.T)[term, shift].astype(np.int64)
+            found = np.searchsorted(sorted_keys, _packed(codes[term] + shift_codes[shift]))
+            rows.append(row_base + term_rel[lo + term] * n_shifts + shift)
+            cols.append(order[found].astype(np.int32))
+            vals.append((term_coef[lo + term] * (1 - 2 * (inversions & 1)) % p).astype(np.int32))
+        row_base += len(rels) * n_shifts
+    if not rows:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _quotient_data(pres: Presentation, weight: int) -> _QuotientData:
+    """Eliminate the weight-w Macaulay matrix one odd-degree column block at
+    a time.
+
+    free_monomials sorts by odd length, so each odd degree is a contiguous
+    column range.  A relation whose terms share one odd degree lands every
+    row in a single block, so the blocks are independent; if some relation
+    mixes odd degrees the whole weight is one block.
+    """
+    p = pres.ctx.p
+    basis = free_monomials(pres.gens, weight)
+    if not basis:
+        return _QuotientData(0, ())
+    position = {k: i for i, k in enumerate(sorted(pres.gens))}
+    codes = _encode(basis, position, np.min_scalar_type(max(weight, 1)))
+    rows, cols, vals = _macaulay_entries(pres, weight, position, codes)
+    odd = np.array([m.odd_degree for m in basis], dtype=np.int32)
+    bihomogeneous = all(len({m.odd_degree for m in rel.terms}) == 1 for rel in pres.relations)
+    block_of_col = odd if bihomogeneous else np.zeros_like(odd)
+    n_blocks = int(block_of_col.max()) + 1
+    col_bounds = np.searchsorted(block_of_col, np.arange(n_blocks + 1))
+    blocks = block_of_col[cols]
+    perm = np.lexsort((rows, blocks))
+    rows, cols, vals, blocks = rows[perm], cols[perm], vals[perm], blocks[perm]
+    entry_bounds = np.searchsorted(blocks, np.arange(n_blocks + 1))
+    pivots: list[int] = []
+    for b in range(n_blocks):
+        lo, hi = entry_bounds[b], entry_bounds[b + 1]
+        if lo == hi:
             continue
-        if weight - w_rel not in shifts:
-            shifts[weight - w_rel] = free_monomials(pres.gens, weight - w_rel)
-        for m in shifts[weight - w_rel]:
-            shifted = rel * SuperElement.from_monomial(p, m)
-            if shifted.is_zero():
-                continue
-            red.add_row((col_of[mono], c) for mono, c in shifted.terms.items())
-    pivots = set(red.pivot_columns)
-    kept = tuple(m for i, m in enumerate(basis) if i not in pivots)
-    return _QuotientData(len(basis) - red.rank, kept)
+        c0, width = int(col_bounds[b]), int(col_bounds[b + 1] - col_bounds[b])
+        block_rows, block_cols, block_vals = rows[lo:hi], cols[lo:hi] - c0, vals[lo:hi]
+        # consecutive local row numbers 0, 1, ... in row-id order
+        local = np.cumsum(np.concatenate(([True], block_rows[1:] != block_rows[:-1]))) - 1
+        n_rows = int(local[-1]) + 1
+        chunk = max(_MIN_CHUNK_ROWS, _CHUNK_ENTRIES // width)
+        kernel = RrefBasis(width, p)
+        for first in range(0, n_rows, chunk):
+            a, z = np.searchsorted(local, [first, first + chunk])
+            dense = np.zeros((min(chunk, n_rows - first), width))
+            dense[local[a:z] - first, block_cols[a:z]] = block_vals[a:z]
+            kernel.add_rows(dense)
+        pivots.extend(c0 + c for c in kernel.pivot_columns)
+    pivot_set = set(pivots)
+    kept = tuple(m for i, m in enumerate(basis) if i not in pivot_set)
+    return _QuotientData(len(basis) - len(pivots), kept)
 
 
 def quotient_dimension(pres: Presentation, weight: int) -> int:

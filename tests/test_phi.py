@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from phiring.charspace import Character, GroupContext, enumerate_lines
@@ -139,3 +142,24 @@ class TestVerify:
         pres = verbatim_presentation(CTX32)
         assert min(rel.weight() for rel in pres.relations) == 2
         assert quotient_dimension(pres, 1) == 8
+
+
+class TestDominationCheck:
+    def test_presentation_below_oracle_raises(self, monkeypatch):
+        import phiring.phi as phi_module
+
+        monkeypatch.setattr(phi_module, "quotient_dimension", lambda pres, w: 0)
+        with pytest.raises(RuntimeError, match="exceeds presentation dimension 0 at weight 0"):
+            verify_phi(CTX32, 2)
+
+    def test_check_survives_optimized_mode(self):
+        # python -O strips assert statements; the check must still raise
+        code = (
+            "import phiring.phi as m\n"
+            "from phiring.charspace import GroupContext\n"
+            "m.quotient_dimension = lambda pres, w: 0\n"
+            "m.verify_phi(GroupContext(3, 1), 1)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode != 0
+        assert "RuntimeError: oracle dimension" in proc.stderr

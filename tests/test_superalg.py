@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from phiring.charspace import GroupContext, enumerate_lines
 from phiring.modp import RowReducer
-from phiring.phi import build_phi_presentation
+from phiring.phi import build_phi_presentation, line_presentation, verbatim_presentation
 from phiring.superalg import (
     Presentation,
     SuperElement,
@@ -224,6 +224,72 @@ class TestQuotient:
             for w in range(5):
                 assert quotient_dimension(shuffled, w) == quotient_dimension(pres, w)
                 assert monomial_basis(shuffled, w) == monomial_basis(pres, w)
+
+
+def reference_quotient(pres, weight):
+    """The Macaulay elimination written directly: one SuperElement product
+    per (relation, shift), fed row by row to RowReducer."""
+    p = pres.ctx.p
+    basis = free_monomials(pres.gens, weight)
+    col_of = {m: i for i, m in enumerate(basis)}
+    red = RowReducer(len(basis), p)
+    for rel in pres.relations:
+        w_rel = rel.weight()
+        if w_rel > weight:
+            continue
+        for m in free_monomials(pres.gens, weight - w_rel):
+            shifted = rel * SuperElement.from_monomial(p, m)
+            if not shifted.is_zero():
+                red.add_row((col_of[mono], c) for mono, c in shifted.terms.items())
+    pivots = set(red.pivot_columns)
+    return len(basis) - red.rank, tuple(m for i, m in enumerate(basis) if i not in pivots)
+
+
+def assert_matches_reference(pres, cutoff):
+    for w in range(cutoff + 1):
+        dim, basis = reference_quotient(pres, w)
+        assert quotient_dimension(pres, w) == dim, w
+        assert monomial_basis(pres, w) == basis, w
+
+
+class TestQuotientAgainstReference:
+    @pytest.mark.parametrize(
+        "p, n, cutoff, max_size",
+        [(3, 3, 6, 7), (5, 2, 6, 5), (7, 2, 5, 6)],
+    )
+    def test_random_line_sets(self, p, n, cutoff, max_size):
+        ctx = GroupContext(p, n)
+        lines = enumerate_lines(ctx)
+        rng = random.Random(p * 10 + n)
+        for _ in range(25):
+            subset = rng.sample(lines, rng.randint(1, max_size))
+            assert_matches_reference(line_presentation(ctx, subset), cutoff)
+
+    def test_verbatim_character_keys(self):
+        assert_matches_reference(verbatim_presentation(CTX32), 4)
+
+    def test_unsorted_generators(self):
+        # the Koszul sign follows key order, not the order of pres.gens
+        for ctx, cutoff in ((CTX32, 5), (GroupContext(5, 2), 4)):
+            pres = build_phi_presentation(ctx)
+            gens = list(pres.gens)
+            random.Random(1).shuffle(gens)
+            assert gens != sorted(gens)
+            assert_matches_reference(Presentation(ctx, tuple(gens), pres.relations), cutoff)
+
+    def test_relations_mixing_odd_degrees(self):
+        rng = random.Random(8)
+        for p in (3, 5):
+            lines = enumerate_lines(GroupContext(p, 2))[:4]
+            for _ in range(10):
+                rels = []
+                for _ in range(rng.randint(1, 4)):
+                    w = rng.randint(1, 3)
+                    el = SuperElement(p, {m: rng.randrange(1, p)
+                                          for m in free_monomials(lines, w) if rng.random() < 0.3})
+                    if not el.is_zero():
+                        rels.append(el)
+                assert_matches_reference(Presentation(GroupContext(p, 2), lines, tuple(rels)), 5)
 
 
 class TestPresentationValidation:
