@@ -217,7 +217,8 @@ def zero_sum_triples(lines, ctx: GroupContext):
     Returns (L1, L2, L3, a, b, c) with L1 < L2 < L3 in the global order,
     a*L1.rep + b*L2.rep + c*L3.rep = 0 and c = 1.  A triple of distinct
     lines qualifies iff its reps span rank 2, in which case the scalar
-    solution is unique up to global scaling; both facts are asserted.
+    solution is unique up to global scaling; the rank is checked by row
+    reduction against the solve (RuntimeError on disagreement).
     """
     lines = sorted(lines)
     if len(lines) != len(set(lines)):
@@ -226,29 +227,40 @@ def zero_sum_triples(lines, ctx: GroupContext):
     out = []
     for l1, l2, l3 in itertools.combinations(lines, 3):
         sol = _solve_zero_sum(l1.rep, l2.rep, l3.rep, p)
-        if sol is None:
-            assert rank_of([l1.rep, l2.rep, l3.rep], ctx) == 3
-            continue
-        assert rank_of([l1.rep, l2.rep, l3.rep], ctx) == 2
-        out.append((l1, l2, l3) + sol)
+        rank = rank_of([l1.rep, l2.rep, l3.rep], ctx)
+        if rank != (3 if sol is None else 2):
+            raise RuntimeError(
+                "triple %s, %s, %s has rank %d but the zero-sum solve gave %r"
+                % (l1, l2, l3, rank, sol)
+            )
+        if sol is not None:
+            out.append((l1, l2, l3) + sol)
     return out
 
 
 def _solve_zero_sum(r1: Character, r2: Character, r3: Character, p: int):
     """Nonzero (a, b, c) with a*r1 + b*r2 + c*r3 = 0 and c = 1, or None.
 
-    With c pinned to 1 the system is a*r1 + b*r2 = -r3; reps of distinct
-    lines are independent, so the solution is unique when it exists.
+    With c pinned to 1 the system is a*r1 + b*r2 = -r3.  Reps of distinct
+    lines are independent (RuntimeError otherwise), so some pair of
+    coordinates carries an invertible 2x2 minor; Cramer's rule on it gives
+    the only candidate, which is then checked on every coordinate.
     """
-    n = len(r1.coords)
-    target = [(-v) % p for v in r3.coords]
-    sol = None
-    for a in range(1, p):
-        for b in range(1, p):
-            if all((a * r1.coords[i] + b * r2.coords[i]) % p == target[i] for i in range(n)):
-                assert sol is None, "kernel of a rank-2 triple must be 1-dimensional"
-                sol = (a, b, 1)
-    return sol
+    x, y, t = r1.coords, r2.coords, [(-v) % p for v in r3.coords]
+    for i, j in itertools.combinations(range(len(x)), 2):
+        det = (x[i] * y[j] - x[j] * y[i]) % p
+        if det:
+            break
+    else:
+        raise RuntimeError("reps %s and %s are dependent: no unique zero-sum" % (r1, r2))
+    inv = inverse_mod_p(det, p)
+    a = (t[i] * y[j] - t[j] * y[i]) * inv % p
+    b = (x[i] * t[j] - x[j] * t[i]) * inv % p
+    if a == 0 or b == 0:
+        return None
+    if any((a * u + b * v) % p != w for u, v, w in zip(x, y, t)):
+        return None
+    return a, b, 1
 
 
 @lru_cache(maxsize=None)

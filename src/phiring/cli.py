@@ -70,12 +70,22 @@ def _require_cutoff(config: JobConfig) -> int:
     return config.cutoff
 
 
-def _check_budget(num_gens: int, weight: int, config: JobConfig) -> None:
+def _check_budget(num_gens: int, weight: int, ctx: GroupContext, config: JobConfig) -> None:
+    """Refuse, before any work, a job whose matrices exceed the column budget
+    or whose prime is too large for exact elimination: float64 rows of up to
+    `estimate` columns are exact while estimate*(p-1)^2 < 2^53, and the
+    oracle's int64 products of linear forms while n*(p-1)^2 < 2^63."""
     estimate = superalg.free_monomial_count(num_gens, weight)
     if estimate > config.column_budget:
         raise UsageError(
             "cutoff too large: weight %d needs ~%d matrix columns, budget is %d "
             "(raise %s to override)" % (weight, estimate, config.column_budget, BUDGET_ENV)
+        )
+    square = (ctx.p - 1) ** 2
+    if estimate * square >= 2**53 or ctx.n * square >= 2**63:
+        raise UsageError(
+            "p = %d is too large for exact elimination at weight %d (~%d columns)"
+            % (ctx.p, weight, estimate)
         )
 
 
@@ -179,7 +189,7 @@ def _cmd_phi_verify(config: JobConfig):
     ctx = _context(config)
     cutoff = _require_cutoff(config)
     gens = ctx.num_characters if config.verbatim else ctx.num_lines
-    _check_budget(gens, cutoff, config)
+    _check_budget(gens, cutoff, ctx, config)
     rep = phi.verify_phi(ctx, cutoff, verbatim_mode=config.verbatim, workers=config.workers)
     report = {
         "command": "phi-verify",
@@ -207,7 +217,7 @@ def _cmd_phi_basis(config: JobConfig):
     if config.weight is None or config.weight < 0:
         raise UsageError("--weight must be a nonnegative integer")
     gens = ctx.num_characters if config.verbatim else ctx.num_lines
-    _check_budget(gens, config.weight, config)
+    _check_budget(gens, config.weight, ctx, config)
     pres = phi.build_phi_presentation(ctx, verbatim_mode=config.verbatim)
     basis = superalg.monomial_basis(pres, config.weight)
     report = {
@@ -297,6 +307,9 @@ def _cmd_ro_dim(config: JobConfig):
         md = rograde.multidegree(ctx, _parse_mult(config, ctx), config.k)
     except ValueError as exc:
         raise UsageError("--mult: %s" % exc) from None
+    # Words of the piece are free monomials of weight k on the lines of its
+    # labels; pieces outside total <= k <= 2*total are 0 without any work.
+    _check_budget(len(md.m), max(0, min(md.k, 2 * md.total_mult)), ctx, config)
     dim = rograde.ro_dimension(ctx, md)
     report = {
         "command": "ro-dim",
@@ -321,6 +334,8 @@ def _cmd_ro_table(config: JobConfig):
         raise UsageError("--max-mult must be nonnegative")
     if config.k_max < config.k_min:
         raise UsageError("--k-max must be >= --k-min")
+    # The largest piece has at most max_mult labels and weight 2*max_mult.
+    _check_budget(config.max_mult, max(0, min(config.k_max, 2 * config.max_mult)), ctx, config)
     table = rograde.ro_table(ctx, config.max_mult, (config.k_min, config.k_max))
     report = {
         "command": "ro-table",
@@ -357,7 +372,7 @@ def _cmd_localize(config: JobConfig):
     if not arrangements:
         raise UsageError("localize needs --lines, --arrangement, or --sample")
     for lines in arrangements:
-        _check_budget(len(lines), cutoff, config)
+        _check_budget(len(lines), cutoff, ctx, config)
     results = [
         rograde.localized_hilbert(ctx, lines, cutoff, workers=config.workers)
         for lines in arrangements

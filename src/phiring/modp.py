@@ -22,9 +22,10 @@ def inverse_mod(a: int, p: int) -> int:
 class RowReducer:
     """Incremental Gaussian elimination mod p with leftmost pivoting.
 
-    Rows arrive as sparse (column, coefficient) pairs and are reduced against
-    the pivot rows accumulated so far (kept as dense numpy vectors, which is
-    what makes repeated elimination cheap even after fill-in).
+    Rows arrive as sparse (column, coefficient) pairs or as dense vectors and
+    are reduced against the pivot rows accumulated so far (kept as dense numpy
+    vectors, which is what makes repeated elimination cheap even after
+    fill-in).
     """
 
     def __init__(self, ncols: int, p: int):
@@ -43,12 +44,19 @@ class RowReducer:
     def pivot_columns(self) -> tuple[int, ...]:
         return tuple(sorted(self._pivot_of_col))
 
-    def add_row(self, items: Iterable[tuple[int, int]]) -> bool:
-        """Reduce one row; return True iff it enlarged the row space."""
+    def add_row(self, items: Iterable[tuple[int, int]] | np.ndarray) -> bool:
+        """Reduce one row, given as (column, coefficient) pairs or as a dense
+        integer vector of length ncols; return True iff it enlarged the row
+        space."""
         p = self.p
-        row = np.zeros(self.ncols, dtype=np.int64)
-        for col, coeff in items:
-            row[col] = (row[col] + coeff) % p
+        if isinstance(items, np.ndarray):
+            if items.shape != (self.ncols,):
+                raise ValueError("dense row must have shape (%d,)" % self.ncols)
+            row = np.asarray(items, dtype=np.int64) % p
+        else:
+            row = np.zeros(self.ncols, dtype=np.int64)
+            for col, coeff in items:
+                row[col] = (row[col] + coeff) % p
         while True:
             nz = np.flatnonzero(row)
             if nz.size == 0:
@@ -61,13 +69,6 @@ class RowReducer:
                 self._pivot_rows.append((row * inv) % p)
                 return True
             row = (row - int(row[lead]) * self._pivot_rows[slot]) % p
-
-
-def rank_of_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int, p: int) -> int:
-    red = RowReducer(ncols, p)
-    for row in rows:
-        red.add_row(row)
-    return red.rank
 
 
 def _remainder(x: np.ndarray, p: int) -> None:

@@ -14,8 +14,13 @@ faithful and no fraction normal form is ever needed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
+from math import comb
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .charspace import Character, GroupContext, Line, canonicalize, inverse_mod_p
 from .modp import RowReducer
@@ -187,18 +192,33 @@ def embed(m: SuperMonomial, ctx: GroupContext) -> LocalizedBorelElement:
     """Image of a monomial: t -> 1/z, u -> dz/z, with scalars rewritten into
     the numerator when keys are raw characters (z of k*chi is k times z of
     chi, so t over k*chi is 1/k times t over chi, and u is unchanged)."""
+    denom, coeff, u_lines = _monomial_data(m, ctx)
+    num = PolyExtElement.one(ctx.p, ctx.n)
+    for line in u_lines:
+        num = num * d_euler_class(line, ctx)
+    return LocalizedBorelElement(num.scale(coeff), denom)
+
+
+def _monomial_data(
+    m: SuperMonomial, ctx: GroupContext
+) -> tuple[dict[Line, int], int, tuple[Line, ...]]:
+    """(denominator exponent per line, scalar, u-lines in u_set order) of the
+    image of m: the image is scalar * dz_L1 ^ ... ^ dz_Lk over the product of
+    z_L^exponent."""
+    p = ctx.p
     coeff = 1
     denom: dict[Line, int] = {}
-    num = PolyExtElement.one(ctx.p, ctx.n)
     for key, e in m.t_exp:
         line, scale = _line_scale(key, ctx)
-        coeff = coeff * pow(inverse_mod_p(scale, ctx.p), e, ctx.p) % ctx.p
+        if scale != 1:
+            coeff = coeff * pow(inverse_mod_p(scale, p), e, p) % p
         denom[line] = denom.get(line, 0) + e
+    u_lines = []
     for key in m.u_set:
         line, _ = _line_scale(key, ctx)
-        num = num * d_euler_class(line, ctx)
         denom[line] = denom.get(line, 0) + 1
-    return LocalizedBorelElement(num.scale(coeff), denom)
+        u_lines.append(line)
+    return denom, coeff, tuple(u_lines)
 
 
 def _line_scale(key, ctx: GroupContext) -> tuple[Line, int]:
@@ -221,67 +241,132 @@ def relation_image(rel: SuperElement, ctx: GroupContext) -> LocalizedBorelElemen
 def span_rank(ms: Sequence[SuperMonomial], weight: int, ctx: GroupContext) -> int:
     """Rank over F_p of the embedded monomials, all of the given weight.
 
-    All images are cleared to the componentwise-max common denominator and
-    expanded over the polynomial-exterior monomials that actually occur; the
-    numerator bidegrees are forced by the weight and the cleared denominator,
-    so no basis bookkeeping is exposed.
+    The image of a monomial with k odd generators is a scalar times
+    dz_L1 ^ ... ^ dz_Lk over a product of z's, so it lies in dx-degree k:
+    the monomials split into blocks by k whose images occupy disjoint
+    columns, and the rank is the sum of the block ranks.  Each block is
+    cleared to its own componentwise-max denominator, a nonzero divisor, so
+    ranks are kept; the numerator of a monomial becomes scalar * P (x) omega,
+    with P the product of the z's that clear it (one degree D per block) and
+    omega the wedge of its dz's, and is expanded as a dense row over the
+    degree-D x-monomials times the k-subsets of the dx's.  The scalar, which
+    Character keys bring in, is a unit and is left out: scaling a row by a
+    unit does not change the rank.
     """
+    if ctx.n * (ctx.p - 1) ** 2 >= 2**63:
+        raise ValueError(
+            "n*(p-1)^2 = %d is not below 2^63: int64 products of linear forms "
+            "would not be exact" % (ctx.n * (ctx.p - 1) ** 2)
+        )
+    blocks: dict[int, list] = {}
     for m in ms:
         if m.weight != weight:
             raise ValueError("monomial %s has weight %d, expected %d" % (m, m.weight, weight))
-    if not ms:
-        return 0
-    images = [embed(m, ctx) for m in ms]
-    cleared = _cleared_numerators(images, ctx)
-    cols = sorted({key for num in cleared for key in num.terms})
-    col_of = {key: i for i, key in enumerate(cols)}
-    red = RowReducer(len(cols), ctx.p)
-    for num in cleared:
-        red.add_row((col_of[key], c) for key, c in num.terms.items())
+        data = _monomial_data(m, ctx)
+        blocks.setdefault(len(data[2]), []).append(data)
+    return sum(_block_rank(block, ctx) for block in blocks.values())
+
+
+def _block_rank(block: list, ctx: GroupContext) -> int:
+    """Rank of one dx-degree block of _monomial_data triples."""
+    p = ctx.p
+    top: dict[Line, int] = {}
+    for denom, _, _ in block:
+        for line, e in denom.items():
+            if e > top.get(line, 0):
+                top[line] = e
+    lines = sorted(top)
+    dmax = [top[line] for line in lines]
+    p_of: dict[tuple[int, ...], int] = {}
+    omega_of: dict[tuple[Line, ...], int] = {}
+    p_idx, omega_idx = [], []
+    for denom, _, u_lines in block:
+        comp = tuple(d - denom.get(line, 0) for line, d in zip(lines, dmax))
+        p_idx.append(p_of.setdefault(comp, len(p_of)))
+        omega_idx.append(omega_of.setdefault(u_lines, len(omega_of)))
+    coords = np.array([line.rep.coords for line in lines], dtype=np.int64)
+    coords = coords.reshape(len(lines), ctx.n)
+    # The factors of each distinct P, one line index per factor.
+    degree = sum(next(iter(p_of)))
+    factors = np.array(
+        [[i for i, e in enumerate(comp) for _ in range(e)] for comp in p_of], dtype=np.intp
+    ).reshape(len(p_of), degree)
+    polys = _products(coords[factors], p)
+    omegas = np.array(
+        [_omega(tuple(line.rep.coords for line in u_lines), p, ctx.n) for u_lines in omega_of],
+        dtype=np.int64,
+    )
+    rows = (polys[p_idx][:, :, None] * omegas[omega_idx][:, None, :] % p).reshape(len(block), -1)
+    red = RowReducer(rows.shape[1], p)
+    for row in rows:
+        red.add_row(row)
     return red.rank
 
 
-def _cleared_numerators(
-    images: Sequence[LocalizedBorelElement], ctx: GroupContext
-) -> list[PolyExtElement]:
-    """Numerators after clearing every image to the componentwise-max
-    common denominator.
+def _products(forms: np.ndarray, p: int) -> np.ndarray:
+    """Products mod p of the linear forms forms[r, 0..D-1] (coefficients on
+    x_1..x_n), as rows over the degree-D monomials of _times_x's order.
 
-    Walking the complement-exponent vectors in sorted order with a stack of
-    prefix products shares most z-multiplications between monomials.
-    """
-    lines = sorted({L for img in images for L in img.denom_exp})
-    dmax = [max(img.denom_exp.get(L, 0) for img in images) for L in lines]
-    comps = [
-        tuple(dmax[i] - img.denom_exp.get(L, 0) for i, L in enumerate(lines))
-        for img in images
-    ]
-    zpow: dict[tuple[int, int], PolyExtElement] = {}
+    Entries before each reduction are sums of at most n products of two
+    residues, below 2^63 when n*(p-1)^2 is."""
+    m, degree, n = forms.shape
+    out = np.ones((m, 1), dtype=np.int64)
+    for s in range(degree):
+        times = _times_x(n, s)
+        nxt = np.zeros((m, comb(n + s, s + 1)), dtype=np.int64)
+        for i in range(n):
+            nxt[:, times[:, i]] += out * forms[:, s, i : i + 1]
+        out = nxt % p
+    return out
 
-    def z_power(i: int, e: int) -> PolyExtElement:
-        if (i, e) not in zpow:
-            if e == 0:
-                zpow[(i, e)] = PolyExtElement.one(ctx.p, ctx.n)
-            else:
-                zpow[(i, e)] = euler_class(lines[i], ctx) * z_power(i, e - 1)
-        return zpow[(i, e)]
 
-    cleared: list[PolyExtElement | None] = [None] * len(images)
-    stack = [PolyExtElement.one(ctx.p, ctx.n)]
-    prev: tuple[int, ...] | None = None
-    for idx in sorted(range(len(images)), key=lambda i: comps[i]):
-        comp = comps[idx]
-        shared = 0
-        if prev is not None:
-            while shared < len(comp) and comp[shared] == prev[shared]:
-                shared += 1
-        del stack[shared + 1 :]
-        for j in range(shared, len(comp)):
-            top = stack[-1]
-            stack.append(top * z_power(j, comp[j]) if comp[j] else top)
-        cleared[idx] = images[idx].numerator * stack[-1]
-        prev = comp
-    return cleared
+def _omega(forms: tuple[tuple[int, ...], ...], p: int, n: int) -> list[int]:
+    """The wedge mod p of the one-forms forms[0], forms[1], ... (coefficients
+    on dx_1..dx_n), multiplied in that order, over the k-subsets of the dx's
+    in _wedge_x's order.  At most 2^n entries, so plain integers suffice."""
+    out = [1]
+    for s, form in enumerate(forms):
+        nxt = [0] * comb(n, s + 1)
+        for v, moves in zip(out, _wedge_x(n, s)):
+            for i, j, sign in moves:
+                nxt[j] += sign * form[i] * v
+        out = [x % p for x in nxt]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _times_x(n: int, s: int) -> np.ndarray:
+    """[j, i] = index of x^a * x_i among the degree-(s+1) monomials, for the
+    j-th degree-s monomial x^a; monomials are indexed in the order of
+    combinations_with_replacement over the variables."""
+    monos = itertools.combinations_with_replacement(range(n), s + 1)
+    upper = {mono: j for j, mono in enumerate(monos)}
+    out = np.array(
+        [
+            [upper[tuple(sorted(mono + (i,)))] for i in range(n)]
+            for mono in itertools.combinations_with_replacement(range(n), s)
+        ],
+        dtype=np.intp,
+    )
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _wedge_x(n: int, s: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For the j-th s-subset I in combinations order, the triples (i, index of
+    I + i among the (s+1)-subsets, sign) over the i not in I, with
+    dx_I ^ dx_i = sign * dx_(I + i).  The sign comes from the right-hand
+    merge, as in merge_odd: one transposition per element of I above i."""
+    upper = {sub: j for j, sub in enumerate(itertools.combinations(range(n), s + 1))}
+    return tuple(
+        tuple(
+            (i, upper[tuple(sorted(sub + (i,)))], -1 if sum(a > i for a in sub) % 2 else 1)
+            for i in range(n)
+            if i not in sub
+        )
+        for sub in itertools.combinations(range(n), s)
+    )
 
 
 @dataclass

@@ -20,6 +20,7 @@ from phiring.charspace import (
     subset_rank_count,
     subset_rank_count_bruteforce,
     zero_sum_triples,
+    _solve_zero_sum,
 )
 
 
@@ -229,6 +230,25 @@ class TestZeroSumTriples:
         line = line_of(C(1, 0), ctx)
         with pytest.raises(ValueError):
             zero_sum_triples([line, line], ctx)
+
+    @given(st.sampled_from([(3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]), st.data())
+    def test_solve_matches_the_scan_over_all_scalars(self, shape, data):
+        p, n = shape
+        lines = enumerate_lines(GroupContext(p, n))
+        l1, l2, l3 = data.draw(st.permutations(lines))[:3]
+        columns = list(zip(l1.rep.coords, l2.rep.coords, l3.rep.coords))
+        scan = [
+            (a, b, 1)
+            for a in range(1, p)
+            for b in range(1, p)
+            if all((a * x + b * y + z) % p == 0 for x, y, z in columns)
+        ]
+        assert [_solve_zero_sum(l1.rep, l2.rep, l3.rep, p)] == (scan or [None])
+
+    def test_dependent_reps_raise(self):
+        # reps of one line have no unique zero-sum: an explicit error, not an assert
+        with pytest.raises(RuntimeError):
+            _solve_zero_sum(C(1, 2, 0), C(2, 4, 0), C(0, 0, 1), 5)
 
 
 class TestSubsetRankCount:

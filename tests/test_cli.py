@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -107,6 +108,33 @@ class TestUsageErrors:
             del os.environ[cli.BUDGET_ENV]
         assert code == 2
         assert "165" in err  # the weight-8 column count for 4 generator pairs
+        assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["localize", "--p", "94906297", "--n", "2", "--cutoff", "3", "--lines", "1,0;0,1;1,1"],
+            ["ro-dim", "--p", "94906297", "--n", "2", "--mult", "1,0:1;0,1:1", "--k", "3"],
+            ["ro-table", "--p", "94906297", "--n", "2", "--max-mult", "1"],
+            # exact for the presentation, but 2*(p-1)^2 >= 2^63 for the oracle
+            ["ro-dim", "--p", "2147483659", "--n", "2", "--mult", "1,0:1", "--k", "1"],
+        ],
+    )
+    def test_prime_too_large_for_exact_elimination_refused(self, argv):
+        start = time.monotonic()
+        proc = run_proc(argv)
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"too large for exact elimination" in proc.stderr
+
+    def test_ro_table_budget_refusal(self, capsys):
+        os.environ[cli.BUDGET_ENV] = "10"
+        try:
+            code, _, err = run_cli(["ro-table", "--p", "3", "--n", "2", "--max-mult", "4"], capsys)
+        finally:
+            del os.environ[cli.BUDGET_ENV]
+        assert code == 2
         assert "budget" in err
 
 

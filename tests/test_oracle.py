@@ -1,8 +1,13 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from phiring.charspace import Character, GroupContext, enumerate_lines, line_of
+from phiring import rograde
+from phiring.charspace import Character, GroupContext, Line, enumerate_lines, line_of
+from phiring.modp import RowReducer
 from phiring.oracle import (
     GradedDimensionTable,
     LocalizedBorelElement,
@@ -172,6 +177,97 @@ class TestSpanRank:
             shuffled = list(ms)
             rng.shuffle(shuffled)
             assert span_rank(shuffled, 3, CTX32) == base
+
+
+def reference_span_rank(ms, ctx):
+    """Reference rank by the fraction arithmetic: embed every monomial, clear
+    all images to one global componentwise-max denominator with
+    PolyExtElement products, and eliminate the sparse numerators with
+    RowReducer."""
+    images = [embed(m, ctx) for m in ms]
+    lines = sorted({L for img in images for L in img.denom_exp})
+    dmax = {L: max(img.denom_exp.get(L, 0) for img in images) for L in lines}
+    cleared = []
+    for img in images:
+        num = img.numerator
+        for L in lines:
+            for _ in range(dmax[L] - img.denom_exp.get(L, 0)):
+                num = num * euler_class(L, ctx)
+        cleared.append(num)
+    cols = sorted({key for num in cleared for key in num.terms})
+    col_of = {key: i for i, key in enumerate(cols)}
+    red = RowReducer(len(cols), ctx.p)
+    for num in cleared:
+        red.add_row((col_of[key], c) for key, c in num.terms.items())
+    return red.rank
+
+
+SHAPES = [(3, 1), (3, 2), (5, 2), (7, 2), (3, 3)]
+
+
+@st.composite
+def monomial_sets(draw):
+    """Monomials of one weight on random keys: lines, or raw characters with
+    two scalar multiples of one line among them (u on both is a zero row);
+    a random subset of free_monomials with duplicates, shuffled."""
+    p, n = draw(st.sampled_from(SHAPES))
+    ctx = GroupContext(p, n)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lines = enumerate_lines(ctx)
+    chosen = rng.sample(lines, rng.randint(1, min(4, len(lines))))
+    if draw(st.booleans()):
+        keys = [L.rep.scaled(rng.randrange(1, p), p) for L in chosen]
+        keys = sorted(keys + [keys[0].scaled(p - 1, p)])
+    else:
+        keys = chosen
+    weight = draw(st.integers(0, 4 if n == 3 else 5))
+    pool = free_monomials(keys, weight)
+    ms = rng.sample(pool, rng.randint(0, len(pool)))
+    ms += [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(ms)
+    return ctx, weight, ms
+
+
+class TestSpanRankAgainstReference:
+    @given(monomial_sets())
+    def test_random_monomial_sets(self, case):
+        ctx, weight, ms = case
+        assert span_rank(ms, weight, ctx) == reference_span_rank(ms, ctx)
+
+    @pytest.mark.parametrize("p,n,w", [(3, 2, 6), (5, 2, 5), (3, 3, 4)])
+    def test_full_free_monomial_sets(self, p, n, w):
+        ctx = GroupContext(p, n)
+        ms = free_monomials(enumerate_lines(ctx), w)
+        assert span_rank(ms, w, ctx) == reference_span_rank(ms, ctx)
+
+    @given(st.sampled_from([(3, 3), (5, 2), (7, 2)]), st.integers(0, 2**32 - 1))
+    def test_ro_dimension_monomial_sets(self, shape, seed):
+        ctx = GroupContext(*shape)
+        rng = random.Random(seed)
+        labels = rograde.enumerate_irrep_labels(ctx)
+        mults: dict[Character, int] = {}
+        for label in rng.sample(labels, rng.randint(1, min(4, len(labels)))):
+            mults[label.rep] = rng.randint(1, 2)
+        total = sum(mults.values())
+        md = rograde.multidegree(ctx, mults, rng.randint(total, 2 * total))
+        with mock.patch.object(rograde, "span_rank", side_effect=span_rank) as spy:
+            dim = rograde.ro_dimension(ctx, md)
+        expected = [reference_span_rank(ms, c) for (ms, _, c), _ in spy.call_args_list]
+        assert [dim] == (expected or [0])
+
+    def test_exact_at_the_largest_admissible_prime(self):
+        # 2*(p-1)^2 < 2^63 for p = 2^31 - 1: int64 products must not wrap
+        p = 2**31 - 1
+        ctx = GroupContext(p, 2)
+        keys = sorted(Line(Character(c)) for c in [(1, 0), (0, 1), (1, 1), (p - 2, 1)])
+        for w in range(5):
+            ms = free_monomials(keys, w)
+            assert span_rank(ms, w, ctx) == reference_span_rank(ms, ctx)
+
+    def test_prime_too_large_for_int64_rejected(self):
+        ctx = GroupContext(2147483659, 2)  # 2*(p-1)^2 >= 2^63
+        with pytest.raises(ValueError, match="2\\^63"):
+            span_rank([SuperMonomial.t(Line(Character((1, 0))))], 2, ctx)
 
 
 class TestSubringHilbert:
