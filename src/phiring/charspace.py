@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from .modp import inverse_mod
+
 
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
@@ -92,12 +94,8 @@ class Line:
 def canonicalize(chi: Character, ctx: GroupContext) -> tuple[Line, int]:
     """Split chi into (line, scale) with chi = scale * line.rep mod p."""
     scale = chi.coords[chi.pivot()] % ctx.p
-    rep = chi.scaled(inverse_mod_p(scale, ctx.p), ctx.p)
+    rep = chi.scaled(inverse_mod(scale, ctx.p), ctx.p)
     return Line(rep), scale
-
-
-def inverse_mod_p(a: int, p: int) -> int:
-    return pow(a % p, -1, p)
 
 
 def line_of(chi: Character, ctx: GroupContext) -> Line:
@@ -113,9 +111,20 @@ def enumerate_characters(ctx: GroupContext):
 
 @lru_cache(maxsize=None)
 def enumerate_lines(ctx: GroupContext) -> tuple[Line, ...]:
-    """All (p^n-1)/(p-1) lines, sorted by the global (lexicographic) order."""
-    reps = sorted({canonicalize(chi, ctx)[0] for chi in enumerate_characters(ctx)})
-    assert len(reps) == ctx.num_lines
+    """All (p^n-1)/(p-1) lines, sorted by the global (lexicographic) order.
+
+    The reps are built directly, without touching the other p^n - 1 - #lines
+    characters: for each pivot position i, every head in F_p^i, then a 1,
+    then zeros.
+    """
+    p, n = ctx.p, ctx.n
+    reps = sorted(
+        Line(Character(head + (1,) + (0,) * (n - 1 - i)))
+        for i in range(n)
+        for head in itertools.product(range(p), repeat=i)
+    )
+    if len(reps) != ctx.num_lines:
+        raise RuntimeError("built %d lines, expected %d" % (len(reps), ctx.num_lines))
     return tuple(reps)
 
 
@@ -186,7 +195,8 @@ def enumerate_Fn(ctx: GroupContext) -> tuple[EchelonSubset, ...]:
     expected = 1
     for i in range(1, n + 1):
         expected *= 1 + p ** (i - 1)
-    assert len(out) == expected
+    if len(out) != expected:
+        raise RuntimeError("built %d echelon subsets, expected %d" % (len(out), expected))
     return out
 
 
@@ -200,7 +210,7 @@ def rank_of(chars, ctx: GroupContext) -> int:
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = inverse_mod_p(rows[rank][col], p)
+        inv = inverse_mod(rows[rank][col], p)
         rows[rank] = [(v * inv) % p for v in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col] % p:
@@ -253,7 +263,7 @@ def _solve_zero_sum(r1: Character, r2: Character, r3: Character, p: int):
             break
     else:
         raise RuntimeError("reps %s and %s are dependent: no unique zero-sum" % (r1, r2))
-    inv = inverse_mod_p(det, p)
+    inv = inverse_mod(det, p)
     a = (t[i] * y[j] - t[j] * y[i]) * inv % p
     b = (x[i] * t[j] - x[j] * t[i]) * inv % p
     if a == 0 or b == 0:
@@ -280,7 +290,10 @@ def subset_rank_count(ctx: GroupContext, s: int, r: int) -> int:
     total = subset_rank_count(ctx, s - 1, r) * (p**r - 1 - (s - 1))
     if r >= 1:
         total += subset_rank_count(ctx, s - 1, r - 1) * (p**n - p ** (r - 1))
-    assert total % s == 0
+    if total % s:
+        raise RuntimeError(
+            "subset_rank_count(%d, %d): %d is not divisible by %d" % (s, r, total, s)
+        )
     return total // s
 
 

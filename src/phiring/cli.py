@@ -3,7 +3,7 @@
 Every subcommand builds a plain-dict report, serializes it as csv or json,
 and exits 0 only when all verification flags in the report are true (1 on a
 failed flag, 2 on usage errors).  Output is byte-deterministic for a fixed
-config, including the seed and regardless of PHIRING_WORKERS.
+config, including the seed.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from . import charspace, oracle, phi, rograde, ssq, superalg
 from .charspace import Character, GroupContext
 
-WORKERS_ENV = "PHIRING_WORKERS"
 BUDGET_ENV = "PHIRING_COLUMN_BUDGET"
 DEFAULT_COLUMN_BUDGET = 20000
 
@@ -35,7 +35,7 @@ class JobConfig:
     p: int | None = None
     n: int | None = None
     cutoff: int | None = None
-    arrangement: tuple[tuple[int, ...], ...] | None = None
+    arrangement: tuple[int, int, list] | None = None  # (p, n, rows) of the file
     fmt: str = "csv"
     verbatim: bool = False
     seed: int = 0
@@ -47,19 +47,27 @@ class JobConfig:
     k_max: int = 0
     sample: int | None = None
     sample_max_size: int = 4
-    workers: int = 1
     column_budget: int = DEFAULT_COLUMN_BUDGET
     lines_spec: str = ""
-    arrangement_meta: tuple[int, int, list] | None = None
 
 
 def _context(config: JobConfig) -> GroupContext:
-    if config.p is None:
+    """The group of the job; an arrangement file names it, and --p/--n must
+    then agree with the file."""
+    p, n = config.p, config.n
+    if config.arrangement is not None:
+        file_p, file_n, _ = config.arrangement
+        if p is not None and p != file_p:
+            raise UsageError("--p disagrees with the arrangement file (%d vs %d)" % (p, file_p))
+        if n is not None and n != file_n:
+            raise UsageError("--n disagrees with the arrangement file (%d vs %d)" % (n, file_n))
+        p, n = file_p, file_n
+    if p is None:
         raise UsageError("--p is required")
-    if config.n is None:
+    if n is None:
         raise UsageError("--n is required")
     try:
-        return GroupContext(config.p, config.n)
+        return GroupContext(p, n)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -110,18 +118,8 @@ def _parse_lines_spec(text: str, ctx: GroupContext, flag: str):
     return tuple(sorted(set(lines)))
 
 
-def _load_arrangement(config: JobConfig):
-    """Arrangement file: {"p": int, "n": int, "lines": [[int, ...], ...]};
-    characters are canonicalized and deduplicated by line."""
-    if config.arrangement is None:
-        return None
-    p, n, rows = config.arrangement_meta  # set by _read_arrangement_file
-    if config.p is not None and config.p != p:
-        raise UsageError("--p disagrees with the arrangement file (%d vs %d)" % (config.p, p))
-    if config.n is not None and config.n != n:
-        raise UsageError("--n disagrees with the arrangement file (%d vs %d)" % (config.n, n))
-    config.p, config.n = p, n
-    ctx = _context(config)
+def _arrangement_lines(rows, ctx: GroupContext):
+    """Lines of an arrangement file's rows, canonicalized and deduplicated."""
     lines = []
     for row in rows:
         chi = _parse_character(",".join(str(v) for v in row), ctx, "arrangement")
@@ -138,29 +136,21 @@ def _bool_str(b: bool) -> str:
 
 
 # ---------------------------------------------------------------- commands
+#
+# A handler returns (report, csv rows, ok); run adds command, p and n to
+# the report.
 
 
-def _cmd_lines(config: JobConfig):
-    ctx = _context(config)
+def _cmd_lines(config: JobConfig, ctx: GroupContext):
     lines = charspace.enumerate_lines(ctx)
-    report = {
-        "command": "lines",
-        "p": ctx.p,
-        "n": ctx.n,
-        "count": len(lines),
-        "lines": [list(line.rep.coords) for line in lines],
-    }
+    report = {"count": len(lines), "lines": [list(line.rep.coords) for line in lines]}
     rows = [[_coords_str(line.rep.coords)] for line in lines]
     return report, rows, True
 
 
-def _cmd_fn_enum(config: JobConfig):
-    ctx = _context(config)
+def _cmd_fn_enum(config: JobConfig, ctx: GroupContext):
     subsets = charspace.enumerate_Fn(ctx)
     report = {
-        "command": "fn-enum",
-        "p": ctx.p,
-        "n": ctx.n,
         "count": len(subsets),
         "subsets": [[list(chi.coords) for chi in sub.elems] for sub in subsets],
     }
@@ -170,31 +160,20 @@ def _cmd_fn_enum(config: JobConfig):
     return report, rows, True
 
 
-def _cmd_series(config: JobConfig):
-    ctx = _context(config)
+def _cmd_series(config: JobConfig, ctx: GroupContext):
     cutoff = _require_cutoff(config)
     series = phi.closed_form_series(ctx, cutoff)
-    report = {
-        "command": "series",
-        "p": ctx.p,
-        "n": ctx.n,
-        "cutoff": cutoff,
-        "coeffs": list(series.coeffs),
-    }
+    report = {"cutoff": cutoff, "coeffs": list(series.coeffs)}
     rows = [[str(c) for c in series.coeffs]]
     return report, rows, True
 
 
-def _cmd_phi_verify(config: JobConfig):
-    ctx = _context(config)
+def _cmd_phi_verify(config: JobConfig, ctx: GroupContext):
     cutoff = _require_cutoff(config)
     gens = ctx.num_characters if config.verbatim else ctx.num_lines
     _check_budget(gens, cutoff, ctx, config)
-    rep = phi.verify_phi(ctx, cutoff, verbatim_mode=config.verbatim, workers=config.workers)
+    rep = phi.verify_phi(ctx, cutoff, verbatim_mode=config.verbatim)
     report = {
-        "command": "phi-verify",
-        "p": ctx.p,
-        "n": ctx.n,
         "cutoff": cutoff,
         "verbatim": config.verbatim,
         "closed_form": list(rep.closed_form),
@@ -212,8 +191,7 @@ def _cmd_phi_verify(config: JobConfig):
     return report, rows, rep.ok
 
 
-def _cmd_phi_basis(config: JobConfig):
-    ctx = _context(config)
+def _cmd_phi_basis(config: JobConfig, ctx: GroupContext):
     if config.weight is None or config.weight < 0:
         raise UsageError("--weight must be a nonnegative integer")
     gens = ctx.num_characters if config.verbatim else ctx.num_lines
@@ -221,9 +199,6 @@ def _cmd_phi_basis(config: JobConfig):
     pres = phi.build_phi_presentation(ctx, verbatim_mode=config.verbatim)
     basis = superalg.monomial_basis(pres, config.weight)
     report = {
-        "command": "phi-basis",
-        "p": ctx.p,
-        "n": ctx.n,
         "weight": config.weight,
         "verbatim": config.verbatim,
         "dimension": len(basis),
@@ -233,49 +208,20 @@ def _cmd_phi_basis(config: JobConfig):
     return report, rows, True
 
 
-def _page_rows(table, cutoff: int):
+def _cmd_page_table(page_table, config: JobConfig, ctx: GroupContext):
+    """e1-table and e2-table: page_table is ssq.e1_table or ssq.e2_table."""
+    cutoff = _require_cutoff(config)
+    table = page_table(ctx, cutoff)
+    entries = [[table.entries[(s, d)] for d in range(cutoff + 1)] for s in range(cutoff + 1)]
     rows = [["s"] + [str(d) for d in range(cutoff + 1)]]
-    for s in range(cutoff + 1):
-        rows.append([str(s)] + [str(table.entries[(s, d)]) for d in range(cutoff + 1)])
-    return rows
+    rows.extend([str(s)] + [str(v) for v in row] for s, row in enumerate(entries))
+    return {"cutoff": cutoff, "entries": entries}, rows, True
 
 
-def _cmd_e1_table(config: JobConfig):
-    ctx = _context(config)
-    cutoff = _require_cutoff(config)
-    table = ssq.e1_table(ctx, cutoff)
-    report = {
-        "command": "e1-table",
-        "p": ctx.p,
-        "n": ctx.n,
-        "cutoff": cutoff,
-        "entries": [[table.entries[(s, d)] for d in range(cutoff + 1)] for s in range(cutoff + 1)],
-    }
-    return report, _page_rows(table, cutoff), True
-
-
-def _cmd_e2_table(config: JobConfig):
-    ctx = _context(config)
-    cutoff = _require_cutoff(config)
-    table = ssq.e2_table(ctx, cutoff)
-    report = {
-        "command": "e2-table",
-        "p": ctx.p,
-        "n": ctx.n,
-        "cutoff": cutoff,
-        "entries": [[table.entries[(s, d)] for d in range(cutoff + 1)] for s in range(cutoff + 1)],
-    }
-    return report, _page_rows(table, cutoff), True
-
-
-def _cmd_collapse_check(config: JobConfig):
-    ctx = _context(config)
+def _cmd_collapse_check(config: JobConfig, ctx: GroupContext):
     cutoff = _require_cutoff(config)
     rep = ssq.collapse_check(ctx, cutoff)
     report = {
-        "command": "collapse-check",
-        "p": ctx.p,
-        "n": ctx.n,
         "cutoff": cutoff,
         "e2_totals": list(rep.e2_totals),
         "closed_form": list(rep.closed_form),
@@ -299,8 +245,7 @@ def _parse_mult(config: JobConfig, ctx: GroupContext) -> dict[Character, int]:
     return mults
 
 
-def _cmd_ro_dim(config: JobConfig):
-    ctx = _context(config)
+def _cmd_ro_dim(config: JobConfig, ctx: GroupContext):
     if config.k is None:
         raise UsageError("--k is required")
     try:
@@ -312,9 +257,6 @@ def _cmd_ro_dim(config: JobConfig):
     _check_budget(len(md.m), max(0, min(md.k, 2 * md.total_mult)), ctx, config)
     dim = rograde.ro_dimension(ctx, md)
     report = {
-        "command": "ro-dim",
-        "p": ctx.p,
-        "n": ctx.n,
         "mult": [[_coords_str(label.rep.coords), m] for label, m in md.m],
         "k": config.k,
         "dimension": dim,
@@ -328,8 +270,7 @@ def _md_str(md: rograde.MultiDegree) -> str:
     return ";".join("%s:%d" % (_coords_str(label.rep.coords), m) for label, m in md.m)
 
 
-def _cmd_ro_table(config: JobConfig):
-    ctx = _context(config)
+def _cmd_ro_table(config: JobConfig, ctx: GroupContext):
     if config.max_mult < 0:
         raise UsageError("--max-mult must be nonnegative")
     if config.k_max < config.k_min:
@@ -338,9 +279,6 @@ def _cmd_ro_table(config: JobConfig):
     _check_budget(config.max_mult, max(0, min(config.k_max, 2 * config.max_mult)), ctx, config)
     table = rograde.ro_table(ctx, config.max_mult, (config.k_min, config.k_max))
     report = {
-        "command": "ro-table",
-        "p": ctx.p,
-        "n": ctx.n,
         "max_mult": config.max_mult,
         "k_range": [config.k_min, config.k_max],
         "entries": [
@@ -354,13 +292,11 @@ def _cmd_ro_table(config: JobConfig):
     return report, rows, True
 
 
-def _cmd_localize(config: JobConfig):
-    file_lines = _load_arrangement(config)
-    ctx = _context(config)
-    cutoff = _require_cutoff(config)
+def _cmd_localize(config: JobConfig, ctx: GroupContext):
     arrangements = []
-    if file_lines is not None:
-        arrangements.append(file_lines)
+    if config.arrangement is not None:
+        arrangements.append(_arrangement_lines(config.arrangement[2], ctx))
+    cutoff = _require_cutoff(config)
     if config.lines_spec:
         arrangements.append(_parse_lines_spec(config.lines_spec, ctx, "--lines"))
     if config.sample:
@@ -373,14 +309,8 @@ def _cmd_localize(config: JobConfig):
         raise UsageError("localize needs --lines, --arrangement, or --sample")
     for lines in arrangements:
         _check_budget(len(lines), cutoff, ctx, config)
-    results = [
-        rograde.localized_hilbert(ctx, lines, cutoff, workers=config.workers)
-        for lines in arrangements
-    ]
+    results = [rograde.localized_hilbert(ctx, lines, cutoff) for lines in arrangements]
     report = {
-        "command": "localize",
-        "p": ctx.p,
-        "n": ctx.n,
         "cutoff": cutoff,
         "results": [
             {
@@ -402,8 +332,7 @@ def _cmd_localize(config: JobConfig):
     return report, rows, report["ok"]
 
 
-def _cmd_relation_check(config: JobConfig):
-    ctx = _context(config)
+def _cmd_relation_check(config: JobConfig, ctx: GroupContext):
     pres = phi.build_phi_presentation(ctx, verbatim_mode=config.verbatim)
     vanished = 0
     for rel in pres.relations:
@@ -411,9 +340,6 @@ def _cmd_relation_check(config: JobConfig):
             vanished += 1
     ok = vanished == len(pres.relations)
     report = {
-        "command": "relation-check",
-        "p": ctx.p,
-        "n": ctx.n,
         "verbatim": config.verbatim,
         "relations": len(pres.relations),
         "vanished": vanished,
@@ -423,28 +349,69 @@ def _cmd_relation_check(config: JobConfig):
     return report, rows, ok
 
 
-_COMMANDS = {
-    "lines": _cmd_lines,
-    "fn-enum": _cmd_fn_enum,
-    "series": _cmd_series,
-    "phi-verify": _cmd_phi_verify,
-    "phi-basis": _cmd_phi_basis,
-    "e1-table": _cmd_e1_table,
-    "e2-table": _cmd_e2_table,
-    "collapse-check": _cmd_collapse_check,
-    "ro-dim": _cmd_ro_dim,
-    "ro-table": _cmd_ro_table,
-    "localize": _cmd_localize,
-    "relation-check": _cmd_relation_check,
-}
+# ------------------------------------------------------------ command table
+#
+# Flags are (name, argparse keywords) and go after --p and --n in this
+# order; each dest is a JobConfig field.
+
+_CUTOFF = ("--cutoff", dict(type=int, help="largest weight computed"))
+_WEIGHT = ("--weight", dict(type=int, help="weight of the graded piece"))
+_VERBATIM = ("--verbatim", dict(
+    action="store_true",
+    help="use the character-indexed presentation with no u identification",
+))
+_OUTPUT = (
+    ("--format", dict(dest="fmt", choices=("csv", "json"), default="csv")),
+    ("--seed", dict(type=int, default=0)),
+)
+
+_COMMANDS = (
+    ("lines", "list the canonical line representatives", _cmd_lines, _OUTPUT),
+    ("fn-enum", "list the echelon subsets", _cmd_fn_enum, _OUTPUT),
+    ("series", "closed-form Poincare series coefficients", _cmd_series, (_CUTOFF, *_OUTPUT)),
+    ("phi-verify", "closed form vs presentation vs oracle", _cmd_phi_verify,
+     (_CUTOFF, _VERBATIM, *_OUTPUT)),
+    ("phi-basis", "monomial basis of one graded piece", _cmd_phi_basis,
+     (_WEIGHT, _VERBATIM, *_OUTPUT)),
+    ("e1-table", "first-page dimensions", partial(_cmd_page_table, ssq.e1_table),
+     (_CUTOFF, *_OUTPUT)),
+    ("e2-table", "second-page dimensions", partial(_cmd_page_table, ssq.e2_table),
+     (_CUTOFF, *_OUTPUT)),
+    ("collapse-check", "second page against the closed form", _cmd_collapse_check,
+     (_CUTOFF, *_OUTPUT)),
+    ("ro-dim", "dimension of one representation-graded piece", _cmd_ro_dim, (
+        *_OUTPUT,
+        ("--mult", dict(default="", help="multidegree, e.g. '1,0:1;0,1:2'")),
+        ("--k", dict(type=int, help="integer shift")),
+    )),
+    ("ro-table", "representation-graded dimension table", _cmd_ro_table, (
+        *_OUTPUT,
+        ("--max-mult", dict(type=int, default=2)),
+        ("--k-min", dict(type=int, default=0)),
+        ("--k-max", dict(type=int, default=4)),
+    )),
+    ("localize", "oracle vs candidate presentation on a line set", _cmd_localize, (
+        _CUTOFF,
+        *_OUTPUT,
+        ("--lines", dict(dest="lines_spec", default="", help="e.g. '1,0;0,1'")),
+        ("--arrangement", dict(help="JSON file {p, n, lines}")),
+        ("--sample", dict(type=int, help="number of random arrangements")),
+        ("--sample-max-size", dict(type=int, default=4)),
+    )),
+    ("relation-check", "verify every relation vanishes in the oracle", _cmd_relation_check,
+     (_VERBATIM, *_OUTPUT)),
+)
+_HANDLERS = {name: handler for name, _, handler, _ in _COMMANDS}
 
 
 def run(config: JobConfig) -> tuple[int, str]:
     """Dispatch one job; returns (exit status, serialized report)."""
-    handler = _COMMANDS.get(config.command)
+    handler = _HANDLERS.get(config.command)
     if handler is None:
         raise UsageError("unknown command %r" % config.command)
-    report, rows, ok = handler(config)
+    ctx = _context(config)
+    report, rows, ok = handler(config, ctx)
+    report.update(command=config.command, p=ctx.p, n=ctx.n)
     if config.fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
@@ -461,57 +428,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact coefficient-ring tables for (Z/p)^n-equivariant cohomology",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, cutoff=False, weight=False, verbatim=False, extra=None):
+    for name, help_text, _, flags in _COMMANDS:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--p", type=int, help="odd prime")
         sp.add_argument("--n", type=int, help="rank of the group")
-        if cutoff:
-            sp.add_argument("--cutoff", type=int, help="largest weight computed")
-        if weight:
-            sp.add_argument("--weight", type=int, help="weight of the graded piece")
-        if verbatim:
-            sp.add_argument(
-                "--verbatim",
-                action="store_true",
-                help="use the character-indexed presentation with no u identification",
-            )
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--seed", type=int, default=0)
-        if extra:
-            extra(sp)
-        return sp
-
-    add("lines", "list the canonical line representatives")
-    add("fn-enum", "list the echelon subsets")
-    add("series", "closed-form Poincare series coefficients", cutoff=True)
-    add("phi-verify", "closed form vs presentation vs oracle", cutoff=True, verbatim=True)
-    add("phi-basis", "monomial basis of one graded piece", weight=True, verbatim=True)
-    add("e1-table", "first-page dimensions", cutoff=True)
-    add("e2-table", "second-page dimensions", cutoff=True)
-    add("collapse-check", "second page against the closed form", cutoff=True)
-
-    def ro_dim_extra(sp):
-        sp.add_argument("--mult", default="", help="multidegree, e.g. '1,0:1;0,1:2'")
-        sp.add_argument("--k", type=int, help="integer shift")
-
-    add("ro-dim", "dimension of one representation-graded piece", extra=ro_dim_extra)
-
-    def ro_table_extra(sp):
-        sp.add_argument("--max-mult", type=int, default=2)
-        sp.add_argument("--k-min", type=int, default=0)
-        sp.add_argument("--k-max", type=int, default=4)
-
-    add("ro-table", "representation-graded dimension table", extra=ro_table_extra)
-
-    def localize_extra(sp):
-        sp.add_argument("--lines", dest="lines_spec", default="", help="e.g. '1,0;0,1'")
-        sp.add_argument("--arrangement", help="JSON file {p, n, lines}")
-        sp.add_argument("--sample", type=int, help="number of random arrangements")
-        sp.add_argument("--sample-max-size", type=int, default=4)
-
-    add("localize", "oracle vs candidate presentation on a line set", cutoff=True, extra=localize_extra)
-    add("relation-check", "verify every relation vanishes in the oracle", verbatim=True)
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -533,6 +455,7 @@ def _parse_mult_spec(text: str) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def _read_arrangement_file(path: str):
+    """Arrangement file: {"p": int, "n": int, "lines": [[int, ...], ...]}."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -558,34 +481,14 @@ def _env_int(name: str, default: int) -> int:
 
 
 def config_from_args(argv) -> JobConfig:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = JobConfig(
-        command=args.command,
-        p=args.p,
-        n=args.n,
-        cutoff=getattr(args, "cutoff", None),
-        fmt=args.format,
-        verbatim=getattr(args, "verbatim", False),
-        seed=args.seed,
-        weight=getattr(args, "weight", None),
-        k=getattr(args, "k", None),
-        max_mult=getattr(args, "max_mult", 0),
-        k_min=getattr(args, "k_min", 0),
-        k_max=getattr(args, "k_max", 0),
-        sample=getattr(args, "sample", None),
-        sample_max_size=getattr(args, "sample_max_size", 4),
-        workers=_env_int(WORKERS_ENV, 1),
-        column_budget=_env_int(BUDGET_ENV, DEFAULT_COLUMN_BUDGET),
-    )
-    config.lines_spec = getattr(args, "lines_spec", "")
-    if getattr(args, "mult", ""):
-        config.mult = _parse_mult_spec(args.mult)
-    arrangement_path = getattr(args, "arrangement", None)
-    if arrangement_path:
-        config.arrangement_meta = _read_arrangement_file(arrangement_path)
-        config.arrangement = tuple(tuple(row) for row in config.arrangement_meta[2])
-    return config
+    fields = vars(_build_parser().parse_args(argv))
+    budget = _env_int(BUDGET_ENV, DEFAULT_COLUMN_BUDGET)
+    if "mult" in fields:
+        fields["mult"] = _parse_mult_spec(fields["mult"])
+    if "arrangement" in fields:
+        path = fields["arrangement"]
+        fields["arrangement"] = _read_arrangement_file(path) if path else None
+    return JobConfig(**fields, column_budget=budget)
 
 
 def main(argv=None) -> int:

@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .charspace import Character, GroupContext, Line, canonicalize, inverse_mod_p
-from .modp import RowReducer
+from .charspace import Character, GroupContext, Line, canonicalize
+from .modp import RowReducer, inverse_mod
 from .superalg import SuperElement, SuperMonomial, free_monomials, merge_odd
 
 XKey = tuple[int, ...]
@@ -97,10 +97,6 @@ class PolyExtElement:
             and (self.p, self.n) == (other.p, other.n)
             and self.terms == other.terms
         )
-
-    def bidegrees(self) -> set[tuple[int, int]]:
-        """(polynomial degree, dx count) pairs present."""
-        return {(sum(x), len(d)) for x, d in self.terms}
 
     def __repr__(self):
         if not self.terms:
@@ -211,7 +207,7 @@ def _monomial_data(
     for key, e in m.t_exp:
         line, scale = _line_scale(key, ctx)
         if scale != 1:
-            coeff = coeff * pow(inverse_mod_p(scale, p), e, p) % p
+            coeff = coeff * pow(inverse_mod(scale, p), e, p) % p
         denom[line] = denom.get(line, 0) + e
     u_lines = []
     for key in m.u_set:

@@ -17,19 +17,19 @@ has one dimension per character instead of one per line).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
 from .charspace import (
     Character,
     GroupContext,
+    Line,
     canonicalize,
     enumerate_characters,
     enumerate_lines,
-    inverse_mod_p,
     zero_sum_triples,
 )
+from .modp import inverse_mod
 from .oracle import subring_hilbert
 from .superalg import Presentation, SuperElement, SuperMonomial, quotient_dimension
 
@@ -74,7 +74,7 @@ def relation_families(
         for chi in triple:
             line, scale = canonicalize(chi, ctx)
             keys.append(line)
-            t_coeffs.append(inverse_mod_p(scale, p))
+            t_coeffs.append(inverse_mod(scale, p))
     else:
         keys = list(triple)
         t_coeffs = [1, 1, 1]
@@ -172,35 +172,22 @@ def closed_form_series(ctx: GroupContext, cutoff: int) -> HilbertSeries:
     return HilbertSeries(tuple(coeffs), "closed-form")
 
 
-def check_oracle_dominated(oracle_dims, pres_dims) -> None:
-    """Raise RuntimeError unless oracle <= presentation in every weight.
+@dataclass(frozen=True)
+class Comparison:
+    """Oracle and presentation dimensions of the subring on `lines`, weight
+    by weight, and the closed form where there is one (None otherwise)."""
 
-    Every relation vanishes in the oracle, so the oracle dimension can never
-    exceed the presentation dimension; a weight where it does means one of
-    the two routes computed a wrong number.
-    """
-    for w, (o, q) in enumerate(zip(oracle_dims, pres_dims)):
-        if o > q:
-            raise RuntimeError(
-                "oracle dimension %d exceeds presentation dimension %d at weight %d" % (o, q, w)
-            )
-
-
-@dataclass
-class VerifyReport:
-    ctx: GroupContext
-    cutoff: int
-    verbatim_mode: bool
-    closed_form: tuple[int, ...]
-    presentation: tuple[int, ...]
+    lines: tuple[Line, ...]
     oracle: tuple[int, ...]
+    presentation: tuple[int, ...]
+    closed_form: tuple[int, ...] | None = None
 
     @property
     def equal(self) -> tuple[bool, ...]:
-        return tuple(
-            a == b == c
-            for a, b, c in zip(self.closed_form, self.presentation, self.oracle)
-        )
+        routes = [self.oracle, self.presentation]
+        if self.closed_form is not None:
+            routes.append(self.closed_form)
+        return tuple(len(set(dims)) == 1 for dims in zip(*routes))
 
     @property
     def ok(self) -> bool:
@@ -211,28 +198,38 @@ class VerifyReport:
         return tuple(w for w, good in enumerate(self.equal) if not good)
 
 
-def verify_phi(
-    ctx: GroupContext, cutoff: int, verbatim_mode: bool = False, workers: int = 1
-) -> VerifyReport:
+def compare_routes(
+    ctx: GroupContext,
+    lines,
+    pres: Presentation,
+    cutoff: int,
+    closed_form: tuple[int, ...] | None = None,
+) -> Comparison:
+    """Oracle Hilbert function of the subring on `lines` against the
+    quotient dimensions of `pres`, weights 0..cutoff.
+
+    Every relation vanishes in the oracle, so oracle <= presentation holds
+    weightwise; it is checked unconditionally, and a weight where it fails
+    means one of the two routes computed a wrong number (RuntimeError).
+    Equality is reported, never repaired.
+    """
+    weights = range(cutoff + 1)
+    table = subring_hilbert(lines, cutoff, ctx)
+    oracle_dims = tuple(table.entries[w] for w in weights)
+    pres_dims = tuple(quotient_dimension(pres, w) for w in weights)
+    for w, (o, q) in enumerate(zip(oracle_dims, pres_dims)):
+        if o > q:
+            raise RuntimeError(
+                "oracle dimension %d exceeds presentation dimension %d at weight %d" % (o, q, w)
+            )
+    return Comparison(tuple(lines), oracle_dims, pres_dims, closed_form)
+
+
+def verify_phi(ctx: GroupContext, cutoff: int, verbatim_mode: bool = False) -> Comparison:
     """Three-way comparison closed form / presentation / oracle up to the
-    cutoff.  Every relation vanishes in the oracle, so the oracle dimension
-    can never exceed the presentation dimension; that inequality is checked
-    unconditionally (RuntimeError otherwise), and weightwise equality of all
-    three tables certifies the presentation through the cutoff.
+    cutoff; weightwise equality of all three tables certifies the
+    presentation through the cutoff.
     """
     closed = closed_form_series(ctx, cutoff).coeffs
     pres = build_phi_presentation(ctx, verbatim_mode)
-    oracle_table = subring_hilbert(enumerate_lines(ctx), cutoff, ctx)
-
-    def pres_dim(w: int) -> int:
-        return quotient_dimension(pres, w)
-
-    weights = range(cutoff + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pres_dims = tuple(pool.map(pres_dim, weights))
-    else:
-        pres_dims = tuple(pres_dim(w) for w in weights)
-    oracle_dims = tuple(oracle_table.entries[w] for w in weights)
-    check_oracle_dominated(oracle_dims, pres_dims)
-    return VerifyReport(ctx, cutoff, verbatim_mode, closed, pres_dims, oracle_dims)
+    return compare_routes(ctx, enumerate_lines(ctx), pres, cutoff, closed)

@@ -13,14 +13,13 @@ choosing per irreducible factor either the even or the odd generator.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .charspace import Character, GroupContext, Line, canonicalize, enumerate_lines
-from .oracle import GradedDimensionTable, span_rank, subring_hilbert
-from .phi import check_oracle_dominated, line_presentation
-from .superalg import SuperMonomial, quotient_dimension
+from .oracle import GradedDimensionTable, span_rank
+from .phi import Comparison, compare_routes, line_presentation
+from .superalg import SuperMonomial
 
 
 @dataclass(frozen=True, order=True)
@@ -45,7 +44,9 @@ def enumerate_irrep_labels(ctx: GroupContext) -> tuple[IrrepLabel, ...]:
         for line in enumerate_lines(ctx)
         for k in range(1, (ctx.p - 1) // 2 + 1)
     )
-    assert len(labels) == (ctx.p**ctx.n - 1) // 2
+    expected = (ctx.p**ctx.n - 1) // 2
+    if len(labels) != expected:
+        raise RuntimeError("built %d irrep labels, expected %d" % (len(labels), expected))
     return tuple(labels)
 
 
@@ -131,49 +132,15 @@ def ro_table(
     return GradedDimensionTable(entries, "oracle")
 
 
-@dataclass
-class LocalizedComparison:
-    ctx: GroupContext
-    lines: tuple[Line, ...]
-    cutoff: int
-    oracle: tuple[int, ...]
-    presentation: tuple[int, ...]
-
-    @property
-    def equal(self) -> tuple[bool, ...]:
-        return tuple(a == b for a, b in zip(self.oracle, self.presentation))
-
-    @property
-    def ok(self) -> bool:
-        return all(self.equal)
-
-
-def localized_hilbert(
-    ctx: GroupContext, lines, cutoff: int, workers: int = 1
-) -> LocalizedComparison:
+def localized_hilbert(ctx: GroupContext, lines, cutoff: int) -> Comparison:
     """Oracle Hilbert function of the subring on the given lines, against the
     quotient by the triple relations with all three lines inside the set.
 
-    The relations vanish in the oracle, so oracle <= presentation holds
-    weightwise and is checked (RuntimeError otherwise); whether equality
-    holds is reported, never repaired, since triples leaving the set can
-    contribute relations the candidate presentation misses.
+    Whether equality holds is reported, never repaired, since triples
+    leaving the set can contribute relations the candidate presentation
+    misses.
     """
     lines = tuple(sorted(set(lines)))
     if not lines:
         raise ValueError("need a nonempty set of lines")
-    table = subring_hilbert(lines, cutoff, ctx)
-    pres = line_presentation(ctx, lines)
-    weights = range(cutoff + 1)
-
-    def pres_dim(w: int) -> int:
-        return quotient_dimension(pres, w)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pres_dims = tuple(pool.map(pres_dim, weights))
-    else:
-        pres_dims = tuple(pres_dim(w) for w in weights)
-    oracle_dims = tuple(table.entries[w] for w in weights)
-    check_oracle_dominated(oracle_dims, pres_dims)
-    return LocalizedComparison(ctx, lines, cutoff, oracle_dims, pres_dims)
+    return compare_routes(ctx, lines, line_presentation(ctx, lines), cutoff)

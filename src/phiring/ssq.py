@@ -78,12 +78,6 @@ class PageTable:
     entries: dict[tuple[int, int], int]
     label: str
 
-    def max_s(self) -> int:
-        return max((s for s, _ in self.entries), default=0)
-
-    def max_d(self) -> int:
-        return max((d for _, d in self.entries), default=0)
-
 
 def e1_table(ctx: GroupContext, cutoff: int) -> PageTable:
     entries = {

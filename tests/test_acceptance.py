@@ -215,7 +215,7 @@ def test_criterion_8_byte_determinism():
         for workers in ("1", "4"):
             for _ in range(2):
                 env = dict(os.environ)
-                env[cli.WORKERS_ENV] = workers
+                env["PHIRING_WORKERS"] = workers
                 proc = subprocess.run(
                     [sys.executable, "-m", "phiring.cli", *argv],
                     capture_output=True,

@@ -116,6 +116,14 @@ class TestEnumerateLines:
     def test_13_lines_for_p3_n3(self):
         assert len(enumerate_lines(GroupContext(3, 3))) == 13
 
+    @pytest.mark.parametrize(
+        "p,n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]
+    )
+    def test_equals_canonicalizing_every_character(self, p, n):
+        ctx = GroupContext(p, n)
+        reference = sorted({canonicalize(chi, ctx)[0] for chi in enumerate_characters(ctx)})
+        assert enumerate_lines(ctx) == tuple(reference)
+
 
 class TestEchelon:
     def test_identity_like(self):

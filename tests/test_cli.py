@@ -15,9 +15,9 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
-def run_proc(argv, env_extra=None):
+def run_proc(argv, env_extra=None, timeout=None):
     env = dict(os.environ)
-    env.pop(cli.WORKERS_ENV, None)
+    env.pop("PHIRING_WORKERS", None)
     env.pop(cli.BUDGET_ENV, None)
     if env_extra:
         env.update(env_extra)
@@ -25,6 +25,7 @@ def run_proc(argv, env_extra=None):
         [sys.executable, "-m", "phiring.cli", *argv],
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -71,6 +72,15 @@ class TestVerify:
         config = cli.JobConfig(command="phi-verify", p=3, n=2, cutoff=3, fmt="json")
         _, text = cli.run(config)
         assert json.loads(out) == json.loads(text)
+
+    def test_large_prime_rank_one_finishes(self):
+        # one line out of p - 1 characters: the line is built, not searched for
+        argv = ["phi-verify", "--p", "67108879", "--n", "1", "--cutoff", "4", "--format", "json"]
+        start = time.monotonic()
+        proc = run_proc(argv, timeout=60)
+        assert time.monotonic() - start < 5
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["equal"] == [True] * 5
 
 
 class TestUsageErrors:
@@ -230,14 +240,14 @@ class TestDeterminism:
         outputs = set()
         for workers in ("1", "4"):
             for _ in range(2):
-                proc = run_proc(argv, {cli.WORKERS_ENV: workers})
+                proc = run_proc(argv, {"PHIRING_WORKERS": workers})
                 assert proc.returncode == 0
                 outputs.add(proc.stdout)
         assert len(outputs) == 1
 
     def test_json_identical_across_worker_counts(self):
         argv = ["collapse-check", "--p", "3", "--n", "2", "--cutoff", "5", "--format", "json"]
-        a = run_proc(argv, {cli.WORKERS_ENV: "1"})
-        b = run_proc(argv, {cli.WORKERS_ENV: "4"})
+        a = run_proc(argv, {"PHIRING_WORKERS": "1"})
+        b = run_proc(argv, {"PHIRING_WORKERS": "4"})
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0

@@ -6,6 +6,7 @@ import pytest
 from phiring.charspace import Character, GroupContext, enumerate_lines
 from phiring.oracle import relation_image
 from phiring.phi import (
+    Comparison,
     HilbertSeries,
     build_phi_presentation,
     character_zero_sum_triples,
@@ -125,11 +126,12 @@ class TestVerify:
         assert rep.closed_form == (1, 4, 7, 10, 13, 16, 19)
         assert rep.mismatched_weights == ()
 
-    def test_workers_do_not_change_the_report(self):
-        seq = verify_phi(CTX32, 5, workers=1)
-        par = verify_phi(CTX32, 5, workers=4)
-        assert seq.presentation == par.presentation
-        assert seq.oracle == par.oracle
+    def test_closed_form_is_a_third_route_when_given(self):
+        rep = Comparison((), oracle=(1, 2, 3), presentation=(1, 2, 3), closed_form=(1, 2, 4))
+        assert rep.equal == (True, True, False)
+        assert rep.mismatched_weights == (2,)
+        assert not rep.ok
+        assert Comparison((), oracle=(1, 2, 3), presentation=(1, 2, 3)).ok
 
     def test_verbatim_mismatch_is_reported(self):
         rep = verify_phi(CTX32, 2, verbatim_mode=True)

@@ -172,14 +172,8 @@ class TestLocalizedHilbert:
             localized_hilbert(CTX32, [], 3)
 
     def test_presentation_below_oracle_raises(self, monkeypatch):
-        import phiring.rograde as rograde_module
+        import phiring.phi as phi_module
 
-        monkeypatch.setattr(rograde_module, "quotient_dimension", lambda pres, w: 1)
+        monkeypatch.setattr(phi_module, "quotient_dimension", lambda pres, w: 1)
         with pytest.raises(RuntimeError, match="exceeds presentation dimension 1 at weight 1"):
             localized_hilbert(CTX32, enumerate_lines(CTX32)[:3], 3)
-
-    def test_workers_match_sequential(self):
-        S = enumerate_lines(CTX32)[:3]
-        seq = localized_hilbert(CTX32, S, 4, workers=1)
-        par = localized_hilbert(CTX32, S, 4, workers=4)
-        assert seq.presentation == par.presentation
