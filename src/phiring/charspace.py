@@ -13,7 +13,7 @@ ordered lexicographically on it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import comb
 
@@ -52,15 +52,74 @@ class GroupContext:
         return (self.p**self.n - 1) // (self.p - 1)
 
 
-@dataclass(frozen=True, order=True)
-class Character:
-    """A nonzero vector of F_p^n, coordinates stored reduced mod p."""
+class GeneratorKey:
+    """Base of the generator key types Character, Line and IrrepLabel, which
+    index dicts, sets and sorts on every hot path.
+
+    Each instance records at construction the coordinate tuple it is named
+    by and its hash, so hashing and comparing run no generated code:
+
+    * hash is computed once and equals what a frozen dataclass with the one
+      field would return, hash((field,)), so set and dict iteration orders
+      are those of plain dataclasses;
+    * == holds exactly between instances of the same class with equal
+      coordinates; instances of different classes are unequal;
+    * <, <=, >, >= order instances of the same class lexicographically by
+      coordinates and raise TypeError across classes.
+    """
+
+    __slots__ = ("_coords", "_hash")
+
+    def _seal(self, coords: tuple[int, ...], field) -> None:
+        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_hash", hash((field,)))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which seals again
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._coords == other._coords
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._coords < other._coords
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._coords <= other._coords
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._coords > other._coords
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._coords >= other._coords
+        return NotImplemented
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Character(GeneratorKey):
+    """A nonzero vector of F_p^n, coordinates stored reduced mod p.  Hashed,
+    compared and ordered by coords as GeneratorKey describes."""
 
     coords: tuple[int, ...]
 
     def __post_init__(self):
         if not any(self.coords):
             raise ValueError("zero character")
+        self._seal(self.coords, self.coords)
 
     def __str__(self):
         return "(%s)" % ",".join(str(c) for c in self.coords)
@@ -76,16 +135,19 @@ class Character:
         return Character(tuple((k * c) % p for c in self.coords))
 
 
-@dataclass(frozen=True, order=True)
-class Line:
+@dataclass(frozen=True, eq=False, slots=True)
+class Line(GeneratorKey):
     """A scalar class of characters, named by the rep whose last nonzero
-    coordinate is 1."""
+    coordinate is 1.  Hashed as hash((rep,)), compared and ordered by the
+    rep's coords as GeneratorKey describes; a Line never equals a
+    Character."""
 
     rep: Character
 
     def __post_init__(self):
         if self.rep.coords[self.rep.pivot()] != 1:
             raise ValueError("line rep must have last nonzero coordinate 1: %s" % self.rep)
+        self._seal(self.rep.coords, self.rep)
 
     def __str__(self):
         return str(self.rep)

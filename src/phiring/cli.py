@@ -278,17 +278,14 @@ def _cmd_ro_table(config: JobConfig, ctx: GroupContext):
     # The largest piece has at most max_mult labels and weight 2*max_mult.
     _check_budget(config.max_mult, max(0, min(config.k_max, 2 * config.max_mult)), ctx, config)
     table = rograde.ro_table(ctx, config.max_mult, (config.k_min, config.k_max))
+    named = [(_md_str(md), md.k, dim) for md, dim in table.entries.items()]
     report = {
         "max_mult": config.max_mult,
         "k_range": [config.k_min, config.k_max],
-        "entries": [
-            {"mult": _md_str(md), "k": md.k, "dimension": dim}
-            for md, dim in table.entries.items()
-        ],
+        "entries": [{"mult": name, "k": k, "dimension": dim} for name, k, dim in named],
     }
     rows = [["multidegree", "k", "dimension"]]
-    for md, dim in table.entries.items():
-        rows.append([_md_str(md), str(md.k), str(dim)])
+    rows.extend([name, str(k), str(dim)] for name, k, dim in named)
     return report, rows, True
 
 

@@ -74,18 +74,23 @@ class RowReducer:
 def _remainder(x: np.ndarray, p: int) -> None:
     """x %= p in place, exactly, for float64 integers of magnitude below 2^53.
 
-    np.remainder is several times slower.  For |x| < 2^53 the truncated
-    quotient from multiplying by 1/p is within one of the true one and its
-    product with p is still exact, so x - p*quotient lies in (-2p, 2p) and
-    three masked corrections bring it into [0, p).
+    np.remainder is several times slower.  For |x| < 2^53, x times the
+    rounded 1/p is within 2/p of x/p, so its floor q is off by at most one
+    from the floor quotient, and p*q exceeds x by at most 1 when it exceeds
+    it at all: below 2^53, exact.  Near -2^53, p*q can fall below -2^53,
+    where float64 integers are no longer exact, so q is raised to at least
+    -((2^53 - 1) // p), which is still within one of the floor quotient.
+    Then x - p*q lies in [-p, 2p), and one masked add and one masked
+    subtract bring it into [0, p).
     """
     q = x * (1.0 / p)
-    np.trunc(q, out=q)
+    np.floor(q, out=q)
+    low = -float((2**53 - 1) // p)
+    np.copyto(q, low, where=q < low)
     q *= p
     x -= q
-    x[x < 0] += p
-    x[x >= p] -= p
-    x[x < 0] += p
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
 
 
 class RrefBasis:

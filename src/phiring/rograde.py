@@ -13,21 +13,34 @@ choosing per irreducible factor either the even or the odd generator.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .charspace import Character, GroupContext, Line, canonicalize, enumerate_lines
+from .charspace import (
+    Character,
+    GeneratorKey,
+    GroupContext,
+    Line,
+    canonicalize,
+    enumerate_lines,
+)
 from .oracle import GradedDimensionTable, span_rank
 from .phi import Comparison, compare_routes, line_presentation
 from .superalg import SuperMonomial
 
 
-@dataclass(frozen=True, order=True)
-class IrrepLabel:
+@dataclass(frozen=True, eq=False, slots=True)
+class IrrepLabel(GeneratorKey):
     """Canonical name k * line-rep, 1 <= k <= (p-1)/2, of a 2-dimensional
-    irreducible; build through irrep_label so the range of k is enforced."""
+    irreducible; build through irrep_label so the range of k is enforced.
+    Hashed as hash((rep,)), compared and ordered by the rep's coords as
+    GeneratorKey describes; a label never equals a Line or a Character."""
 
     rep: Character
+
+    def __post_init__(self):
+        self._seal(self.rep.coords, self.rep)
 
 
 def irrep_label(chi: Character, ctx: GroupContext) -> IrrepLabel:
@@ -82,20 +95,24 @@ def multidegree(ctx: GroupContext, mults: dict[Character, int], k: int) -> Multi
     return MultiDegree(tuple(sorted(acc.items())), k)
 
 
-def ro_dimension(ctx: GroupContext, md: MultiDegree) -> int:
+def ro_dimension(
+    ctx: GroupContext, md: MultiDegree, lines: Mapping[IrrepLabel, Line] | None = None
+) -> int:
     """Dimension of one graded piece.
 
     Words pick, for each irreducible counted by md, either the even or the
     odd generator of its line; the odd picks must number 2*total - k, a
     repeated odd pick on one line kills the word, and the surviving words
-    span the piece inside the oracle.
+    span the piece inside the oracle.  lines maps each label of md to its
+    line; it is resolved here when not given.
     """
     total = md.total_mult
     if not (total <= md.k <= 2 * total):
         return 0
     odd_picks = 2 * total - md.k
     labels = [label for label, _ in md.m]
-    lines = {label: canonicalize(label.rep, ctx)[0] for label in labels}
+    if lines is None:
+        lines = {label: canonicalize(label.rep, ctx)[0] for label in labels}
     monomials = []
     for chosen in itertools.combinations(labels, odd_picks):
         u_lines = sorted(lines[label] for label in chosen)
@@ -120,15 +137,17 @@ def ro_table(
     bound and shift in the inclusive range, in a fixed iteration order."""
     k_lo, k_hi = k_range
     labels = enumerate_irrep_labels(ctx)
+    lines = {label: canonicalize(label.rep, ctx)[0] for label in labels}
     entries: dict[MultiDegree, int] = {}
     for total in range(max_total_mult + 1):
         for combo in itertools.combinations_with_replacement(labels, total):
             m: dict[IrrepLabel, int] = {}
             for label in combo:
                 m[label] = m.get(label, 0) + 1
+            mults = tuple(sorted(m.items()))
             for k in range(k_lo, k_hi + 1):
-                md = MultiDegree(tuple(sorted(m.items())), k)
-                entries[md] = ro_dimension(ctx, md)
+                md = MultiDegree(mults, k)
+                entries[md] = ro_dimension(ctx, md, lines)
     return GradedDimensionTable(entries, "oracle")
 
 

@@ -1,4 +1,8 @@
+import copy
 import itertools
+import operator
+import pickle
+from dataclasses import dataclass
 from math import comb, prod
 
 import pytest
@@ -22,6 +26,7 @@ from phiring.charspace import (
     zero_sum_triples,
     _solve_zero_sum,
 )
+from phiring.rograde import irrep_label
 
 
 def C(*coords):
@@ -84,6 +89,64 @@ class TestCanonicalize:
         line, scale = canonicalize(chi, ctx)
         assert line.rep.scaled(scale, p) == chi
         assert line.rep.coords[line.rep.pivot()] == 1
+
+
+# The key types as plain frozen dataclasses, whose generated hash and
+# comparisons the cached ones must reproduce.
+@dataclass(frozen=True, order=True)
+class _DataclassCharacter:
+    coords: tuple[int, ...]
+
+
+@dataclass(frozen=True, order=True)
+class _DataclassRep:  # Line and IrrepLabel: one Character field
+    rep: _DataclassCharacter
+
+
+_COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def _check_against_dataclass(keys, coords, reference):
+    for key, ref in zip(keys, reference):
+        assert hash(key) == hash(ref)
+    order = sorted(range(len(keys)), key=lambda i: keys[i])
+    assert order == sorted(range(len(keys)), key=lambda i: reference[i])
+    assert [coords[i] for i in order] == sorted(coords)
+    for i, j in itertools.product(range(len(keys)), repeat=2):
+        for op in _COMPARISONS:
+            assert op(keys[i], keys[j]) == op(reference[i], reference[j])
+        assert (keys[i] == keys[j]) == (coords[i] == coords[j])
+
+
+class TestKeyContract:
+    @given(st.data())
+    def test_keys_hash_compare_and_order_like_dataclasses(self, data):
+        p, n = data.draw(st.sampled_from([(3, 3), (5, 2), (7, 2), (11, 2)]))
+        ctx = GroupContext(p, n)
+        vectors = st.tuples(*[st.integers(0, p - 1)] * n).filter(any)
+        chars = [Character(v) for v in data.draw(st.lists(vectors, min_size=1, max_size=10))]
+        lines = [line_of(chi, ctx) for chi in chars]
+        labels = [irrep_label(chi, ctx) for chi in chars]
+        coords = [chi.coords for chi in chars]
+        _check_against_dataclass(chars, coords, [_DataclassCharacter(c) for c in coords])
+        for keys in (lines, labels):
+            coords = [key.rep.coords for key in keys]
+            reference = [_DataclassRep(_DataclassCharacter(c)) for c in coords]
+            _check_against_dataclass(keys, coords, reference)
+        # A line, its rep and the label k=1 on it share coordinates but are
+        # pairwise unequal and unordered.
+        for line in lines:
+            for a, b in itertools.permutations((line.rep, line, irrep_label(line.rep, ctx)), 2):
+                assert a != b and not a == b
+                with pytest.raises(TypeError):
+                    a < b
+
+    def test_pickle_and_copy_keep_hash_and_equality(self):
+        ctx = GroupContext(5, 2)
+        chi = C(2, 4)
+        for key in (chi, line_of(chi, ctx), irrep_label(chi, ctx)):
+            for other in (pickle.loads(pickle.dumps(key)), copy.deepcopy(key)):
+                assert other == key and hash(other) == hash(key) and not other < key
 
 
 class TestEnumerateLines:

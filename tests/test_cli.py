@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -226,6 +227,36 @@ class TestMiscCommands:
         code, out, _ = run_cli(["e1-table", "--p", "3", "--n", "2", "--cutoff", "2"], capsys)
         assert code == 0
         assert out.splitlines()[0] == "s,0,1,2"
+
+
+class TestRoTableGolden:
+    # SHA-256 of stdout, recorded before the generator keys cached their
+    # hashes.  At p = 5 the labels include 2*line, which p = 3 never has.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "--p 3 --n 2 --max-mult 3 --k-max 6 --format csv",
+                "b35977157b94531856b6fa8d1fc7abd92533a3ea837103f56ad313b2f725a614",
+            ),
+            (
+                "--p 3 --n 2 --max-mult 3 --k-max 6 --format json",
+                "512eb2be5171452a288aca5f717e8efab25428481486d84688d0a08c49a9dde2",
+            ),
+            (
+                "--p 5 --n 2 --max-mult 2 --k-max 4 --format csv",
+                "bfa08a3efb3f42c431000cbbbb334978c219b381789271151594c0dfc9e25467",
+            ),
+            (
+                "--p 5 --n 2 --max-mult 2 --k-max 4 --format json",
+                "74d974ea96a987beb04a5f60d6b9d148be8364bb843903c6e4920e98a8806b45",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, argv, digest, capsys):
+        code, out, _ = run_cli(["ro-table", *argv.split()], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

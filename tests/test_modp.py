@@ -97,3 +97,20 @@ def test_remainder_is_exact_below_2_53(p, values):
     x = np.array(values + [0, p, -p, p - 1, 1 - p], dtype=np.float64)
     _remainder(x, p)
     assert x.tolist() == [v % p for v in values + [0, p, -p, p - 1, 1 - p]]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 2**26 + 15])
+def test_remainder_is_exact_on_2d_chunks_near_2_53(p):
+    # k*p - 1, k*p and k*p + 1 of both signs, for the multiples of p nearest
+    # +-2^53: the floor quotient lands on either side of a multiple there
+    top = (2**53 - 1) // p
+    values = []
+    for sign in (1, -1):
+        for k in range(top - 20, top + 1):
+            values.extend(sign * (k * p + d) for d in (-1, 0, 1))
+    values = [v for v in values if abs(v) < 2**53]
+    values += [0, 1, -1, 2**53 - 1, -(2**53) + 1]
+    values += [0] * (-len(values) % 8)
+    x = np.array(values, dtype=np.float64).reshape(8, -1)
+    _remainder(x, p)
+    assert x.ravel().tolist() == [v % p for v in values]

@@ -36,6 +36,32 @@ def test_arrangement_scan_runs():
     assert "scanned" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ro-table", "--p", "5", "--n", "2", "--max-mult", "2", "--k-max", "4"],
+        ["localize", "--p", "3", "--n", "3", "--cutoff", "4", "--lines", "1,0,0;0,1,0;1,1,1"],
+        ["phi-verify", "--p", "3", "--n", "2", "--cutoff", "4"],
+        ["phi-verify", "--p", "3", "--n", "2", "--cutoff", "3", "--verbatim", "--format", "json"],
+    ],
+    ids=["ro-table", "localize", "phi-verify", "phi-verify-verbatim"],
+)
+def test_optimized_run_matches_plain_run(argv):
+    # python -O strips assert statements: no result may depend on one
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "phiring.cli", *argv],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        for flags in ([], ["-O"])
+    )
+    assert plain.stdout
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_assert_statements(path):
     # python -O strips assert statements, so no check may rely on one
