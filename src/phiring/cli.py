@@ -252,8 +252,9 @@ def _cmd_ro_dim(config: JobConfig, ctx: GroupContext):
         md = rograde.multidegree(ctx, _parse_mult(config, ctx), config.k)
     except ValueError as exc:
         raise UsageError("--mult: %s" % exc) from None
-    # Words of the piece are free monomials of weight k on the lines of its
-    # labels; pieces outside total <= k <= 2*total are 0 without any work.
+    # ro_dimension builds no matrix.  The guard is kept, sized by the free
+    # monomials on the piece's labels, so that which jobs exit 2 does not
+    # depend on how the dimension is computed.
     _check_budget(len(md.m), max(0, min(md.k, 2 * md.total_mult)), ctx, config)
     dim = rograde.ro_dimension(ctx, md)
     report = {
@@ -275,7 +276,8 @@ def _cmd_ro_table(config: JobConfig, ctx: GroupContext):
         raise UsageError("--max-mult must be nonnegative")
     if config.k_max < config.k_min:
         raise UsageError("--k-max must be >= --k-min")
-    # The largest piece has at most max_mult labels and weight 2*max_mult.
+    # Sized by the largest piece (max_mult labels, weight 2*max_mult) and
+    # kept for the reason given in _cmd_ro_dim.
     _check_budget(config.max_mult, max(0, min(config.k_max, 2 * config.max_mult)), ctx, config)
     table = rograde.ro_table(ctx, config.max_mult, (config.k_min, config.k_max))
     named = [(_md_str(md), md.k, dim) for md, dim in table.entries.items()]

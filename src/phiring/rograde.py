@@ -6,28 +6,31 @@ A two-dimensional irreducible is named by k times a canonical line rep with
 k between 1 and (p-1)/2: a character and its negative give the same real
 representation, so exactly one of the pair is kept.  The grading classes
 a_alpha are never materialized: a graded piece is the span, inside the
-fixed-point ring, of the words with the prescribed a-profile, each word
-choosing per irreducible factor either the even or the odd generator.
+localized Borel ring, of the words with the prescribed a-profile, each word
+choosing per irreducible factor either the even or the odd generator.  All
+the words of a piece share one denominator, so the piece is an exterior
+power of the span of its lines and its dimension is a binomial coefficient
+of their rank (see ro_dimension); no word is built.  The tests check every
+entry of complete tables against the oracle's elimination of the words.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .charspace import (
     Character,
     GeneratorKey,
     GroupContext,
-    Line,
     canonicalize,
     enumerate_lines,
+    rank_of,
 )
-from .oracle import GradedDimensionTable, span_rank
+from .oracle import GradedDimensionTable
 from .phi import Comparison, compare_routes, line_presentation
-from .superalg import SuperMonomial
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -74,8 +77,12 @@ class MultiDegree:
     def __post_init__(self):
         if any(mult <= 0 for _, mult in self.m):
             raise ValueError("multiplicities must be positive")
-        if tuple(sorted(self.m)) != self.m:
-            raise ValueError("multiplicity entries must be sorted by label")
+        labels = [label for label, _ in self.m]
+        for a, b in zip(labels, labels[1:]):
+            if a == b:
+                raise ValueError("label %s is repeated" % (a.rep.coords,))
+            if b < a:
+                raise ValueError("multiplicity entries must be sorted by label")
 
     @property
     def total_mult(self) -> int:
@@ -95,39 +102,23 @@ def multidegree(ctx: GroupContext, mults: dict[Character, int], k: int) -> Multi
     return MultiDegree(tuple(sorted(acc.items())), k)
 
 
-def ro_dimension(
-    ctx: GroupContext, md: MultiDegree, lines: Mapping[IrrepLabel, Line] | None = None
-) -> int:
-    """Dimension of one graded piece.
+def ro_dimension(ctx: GroupContext, md: MultiDegree) -> int:
+    """Dimension of one graded piece: C(r, 2*total - k), with r the rank of
+    the lines md's labels lie on, and 0 unless total <= k <= 2*total.
 
-    Words pick, for each irreducible counted by md, either the even or the
-    odd generator of its line; the odd picks must number 2*total - k, a
-    repeated odd pick on one line kills the word, and the surviving words
-    span the piece inside the oracle.  lines maps each label of md to its
-    line; it is resolved here when not given.
+    A word picks, for each irreducible counted by md, either the even or the
+    odd generator of its line, with 2*total - k odd picks.  The oracle sends
+    t_L to 1/z_L and u_L to dz_L/z_L, so every word has the same denominator,
+    the product of z_L^(multiplicity on L), over a numerator that is a unit
+    times the wedge of the dz's of its odd picks (0 if a line is picked
+    twice).  Wedges of 2*total - k distinct lines of the support span the
+    exterior power of that degree of the span of the lines.  A label's rep
+    is a nonzero multiple of its line's rep, so the reps give the same rank.
     """
     total = md.total_mult
     if not (total <= md.k <= 2 * total):
         return 0
-    odd_picks = 2 * total - md.k
-    labels = [label for label, _ in md.m]
-    if lines is None:
-        lines = {label: canonicalize(label.rep, ctx)[0] for label in labels}
-    monomials = []
-    for chosen in itertools.combinations(labels, odd_picks):
-        u_lines = sorted(lines[label] for label in chosen)
-        if any(a == b for a, b in zip(u_lines, u_lines[1:])):
-            continue  # repeated odd generator on one line
-        t_exp: dict[Line, int] = {}
-        for label, mult in md.m:
-            e = mult - (1 if label in chosen else 0)
-            if e:
-                line = lines[label]
-                t_exp[line] = t_exp.get(line, 0) + e
-        monomials.append(SuperMonomial(tuple(sorted(t_exp.items())), tuple(u_lines)))
-    if not monomials:
-        return 0
-    return span_rank(monomials, md.k, ctx)
+    return comb(rank_of([label.rep for label, _ in md.m], ctx), 2 * total - md.k)
 
 
 def ro_table(
@@ -137,7 +128,6 @@ def ro_table(
     bound and shift in the inclusive range, in a fixed iteration order."""
     k_lo, k_hi = k_range
     labels = enumerate_irrep_labels(ctx)
-    lines = {label: canonicalize(label.rep, ctx)[0] for label in labels}
     entries: dict[MultiDegree, int] = {}
     for total in range(max_total_mult + 1):
         for combo in itertools.combinations_with_replacement(labels, total):
@@ -147,8 +137,8 @@ def ro_table(
             mults = tuple(sorted(m.items()))
             for k in range(k_lo, k_hi + 1):
                 md = MultiDegree(mults, k)
-                entries[md] = ro_dimension(ctx, md, lines)
-    return GradedDimensionTable(entries, "oracle")
+                entries[md] = ro_dimension(ctx, md)
+    return GradedDimensionTable(entries, "exterior-power")
 
 
 def localized_hilbert(ctx: GroupContext, lines, cutoff: int) -> Comparison:

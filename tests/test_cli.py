@@ -230,8 +230,10 @@ class TestMiscCommands:
 
 
 class TestRoTableGolden:
-    # SHA-256 of stdout, recorded before the generator keys cached their
-    # hashes.  At p = 5 the labels include 2*line, which p = 3 never has.
+    # SHA-256 of stdout.  The n = 2 digests were recorded before the
+    # generator keys cached their hashes, the n = 3 ones (supports of rank
+    # 3) before ro_dimension became a binomial of the support's rank.  At
+    # p = 5 the labels include 2*line, which p = 3 never has.
     @pytest.mark.parametrize(
         "argv,digest",
         [
@@ -251,10 +253,31 @@ class TestRoTableGolden:
                 "--p 5 --n 2 --max-mult 2 --k-max 4 --format json",
                 "74d974ea96a987beb04a5f60d6b9d148be8364bb843903c6e4920e98a8806b45",
             ),
+            (
+                "--p 3 --n 3 --max-mult 3 --k-max 6 --format csv",
+                "62f77ebf72455ea37a700646a5199b220d640b5facb3681a455a9b64c7078951",
+            ),
+            (
+                "--p 3 --n 3 --max-mult 3 --k-max 6 --format json",
+                "9b0002fdb88e11e30816edc343b946f5f419be2f39301582e2825d281e8ab1aa",
+            ),
         ],
     )
     def test_stdout_digest(self, argv, digest, capsys):
         code, out, _ = run_cli(["ro-table", *argv.split()], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "fmt,digest",
+        [
+            ("csv", "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+            ("json", "6bfb66718dfab0ad33e3d4b0fcac88a0d5d16319e9e2fbd2d26559cd7545e1f7"),
+        ],
+    )
+    def test_ro_dim_two_labels_on_one_line(self, fmt, digest, capsys):
+        argv = "--p 5 --n 2 --mult 1,0:1;2,0:1 --k 3 --format %s" % fmt
+        code, out, _ = run_cli(["ro-dim", *argv.split()], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

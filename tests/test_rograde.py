@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
 from phiring.charspace import Character, GroupContext, enumerate_lines, line_of, rank_of
+from phiring.oracle import span_rank
 from phiring.phi import verify_phi
 from phiring.rograde import (
     MultiDegree,
@@ -13,6 +15,7 @@ from phiring.rograde import (
     ro_dimension,
     ro_table,
 )
+from ro_reference import ro_words
 
 CTX32 = GroupContext(3, 2)
 
@@ -112,6 +115,12 @@ class TestRoDimension:
             MultiDegree(((irrep_label(C(1, 0), CTX32), 0),), 2)
         with pytest.raises(ValueError):
             multidegree(CTX32, {C(1, 0): -1}, 2)
+        label = irrep_label(C(0, 1), CTX32)
+        with pytest.raises(ValueError, match="repeated"):
+            MultiDegree(((label, 1), (label, 2)), 5)
+        later = irrep_label(C(1, 0), CTX32)
+        with pytest.raises(ValueError, match="sorted"):
+            MultiDegree(((later, 1), (label, 1)), 2)
 
 
 class TestRoTable:
@@ -130,6 +139,20 @@ class TestRoTable:
         t1 = ro_table(CTX32, 1, (0, 2))
         t2 = ro_table(CTX32, 1, (0, 2))
         assert list(t1.entries.items()) == list(t2.entries.items())
+
+    @pytest.mark.parametrize(
+        "p,n,max_mult", [(3, 2, 4), (5, 2, 3), (7, 2, 2), (3, 3, 3), (5, 3, 2), (3, 4, 2)]
+    )
+    def test_every_entry_matches_the_oracle_on_its_words(self, p, n, max_mult):
+        # supports of rank up to 4, and at p >= 5 lines carrying two labels
+        ctx = GroupContext(p, n)
+        table = ro_table(ctx, max_mult, (0, 2 * max_mult))
+        assert len(table.entries) == (2 * max_mult + 1) * math.comb(
+            len(enumerate_irrep_labels(ctx)) + max_mult, max_mult
+        )
+        for md, dim in table.entries.items():
+            words = ro_words(ctx, md)
+            assert dim == (span_rank(words, md.k, ctx) if words else 0), md
 
 
 class TestLocalizedHilbert:

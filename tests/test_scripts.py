@@ -40,11 +40,13 @@ def test_arrangement_scan_runs():
     "argv",
     [
         ["ro-table", "--p", "5", "--n", "2", "--max-mult", "2", "--k-max", "4"],
+        # two labels, 1*line and 2*line, on one line
+        ["ro-dim", "--p", "5", "--n", "2", "--mult", "1,0:1;2,0:1", "--k", "3"],
         ["localize", "--p", "3", "--n", "3", "--cutoff", "4", "--lines", "1,0,0;0,1,0;1,1,1"],
         ["phi-verify", "--p", "3", "--n", "2", "--cutoff", "4"],
         ["phi-verify", "--p", "3", "--n", "2", "--cutoff", "3", "--verbatim", "--format", "json"],
     ],
-    ids=["ro-table", "localize", "phi-verify", "phi-verify-verbatim"],
+    ids=["ro-table", "ro-dim", "localize", "phi-verify", "phi-verify-verbatim"],
 )
 def test_optimized_run_matches_plain_run(argv):
     # python -O strips assert statements: no result may depend on one
