@@ -110,21 +110,10 @@ def _parse_character(text: str, ctx: GroupContext, flag: str) -> Character:
     return Character(coords)
 
 
-def _parse_lines_spec(text: str, ctx: GroupContext, flag: str):
-    lines = []
-    for item in text.split(";"):
-        chi = _parse_character(item, ctx, flag)
-        lines.append(charspace.line_of(chi, ctx))
-    return tuple(sorted(set(lines)))
-
-
-def _arrangement_lines(rows, ctx: GroupContext):
-    """Lines of an arrangement file's rows, canonicalized and deduplicated."""
-    lines = []
-    for row in rows:
-        chi = _parse_character(",".join(str(v) for v in row), ctx, "arrangement")
-        lines.append(charspace.line_of(chi, ctx))
-    return tuple(sorted(set(lines)))
+def _parse_lines(items, ctx: GroupContext, flag: str):
+    """Sorted distinct lines of characters given as comma-separated text."""
+    lines = {charspace.line_of(_parse_character(item, ctx, flag), ctx) for item in items}
+    return tuple(sorted(lines))
 
 
 def _coords_str(coords) -> str:
@@ -294,15 +283,20 @@ def _cmd_ro_table(config: JobConfig, ctx: GroupContext):
 def _cmd_localize(config: JobConfig, ctx: GroupContext):
     arrangements = []
     if config.arrangement is not None:
-        arrangements.append(_arrangement_lines(config.arrangement[2], ctx))
+        rows = (",".join(map(str, row)) for row in config.arrangement[2])
+        arrangements.append(_parse_lines(rows, ctx, "arrangement"))
     cutoff = _require_cutoff(config)
+    if config.sample is not None and config.sample < 0:
+        raise UsageError("--sample must be a nonnegative integer")
+    if config.sample_max_size < 1:
+        raise UsageError("--sample-max-size must be >= 1")
     if config.lines_spec:
-        arrangements.append(_parse_lines_spec(config.lines_spec, ctx, "--lines"))
+        arrangements.append(_parse_lines(config.lines_spec.split(";"), ctx, "--lines"))
     if config.sample:
         rng = random.Random(config.seed)
         pool = list(charspace.enumerate_lines(ctx))
         for _ in range(config.sample):
-            size = rng.randint(1, max(1, config.sample_max_size))
+            size = rng.randint(1, config.sample_max_size)
             arrangements.append(tuple(sorted(rng.sample(pool, min(size, len(pool))))))
     if not arrangements:
         raise UsageError("localize needs --lines, --arrangement, or --sample")
@@ -454,16 +448,27 @@ def _parse_mult_spec(text: str) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def _read_arrangement_file(path: str):
-    """Arrangement file: {"p": int, "n": int, "lines": [[int, ...], ...]}."""
+    """Arrangement file: {"p": int, "n": int, "lines": [[int, ...], ...]},
+    with at least one row.  JSON integers load as int, never as bool."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError("arrangement file %s: %s" % (path, exc)) from None
+    if not isinstance(data, dict):
+        raise UsageError("arrangement file %s: expected a JSON object" % path)
     for key in ("p", "n", "lines"):
         if key not in data:
             raise UsageError("arrangement file %s: missing field %r" % (path, key))
-    return int(data["p"]), int(data["n"]), data["lines"]
+    for key in ("p", "n"):
+        if type(data[key]) is not int:
+            raise UsageError("arrangement file %s: field %r must be an integer" % (path, key))
+    rows = data["lines"]
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) and all(type(v) is int for v in row) for row in rows)):
+        raise UsageError("arrangement file %s: field 'lines' must be a nonempty list of "
+                         "integer lists" % path)
+    return data["p"], data["n"], rows
 
 
 def _env_int(name: str, default: int) -> int:

@@ -13,25 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from .charspace import GroupContext, enumerate_Fn, subset_rank_count
 from .phi import closed_form_series
-
-
-def sym_ext_dim(r: int, e: int) -> int:
-    """Weight-e dimension of Sym(r generators of weight 2) tensor
-    Lambda(r generators of weight 1)."""
-    if r < 0 or e < 0:
-        raise ValueError("arguments must be nonnegative")
-    if r == 0:
-        return 1 if e == 0 else 0
-    total = 0
-    for j in range(min(r, e) + 1):
-        if (e - j) % 2:
-            continue
-        total += comb(r, j) * comb((e - j) // 2 + r - 1, r - 1)
-    return total
+from .superalg import free_monomial_count
 
 
 def e1_dim(ctx: GroupContext, s: int, d: int) -> int:
@@ -43,7 +28,7 @@ def e1_dim(ctx: GroupContext, s: int, d: int) -> int:
     if d < s:
         return 0
     return sum(
-        subset_rank_count(ctx, s, r) * sym_ext_dim(r, d - s)
+        subset_rank_count(ctx, s, r) * free_monomial_count(r, d - s)
         for r in range(min(s, ctx.n) + 1)
     )
 
@@ -64,7 +49,7 @@ def e2_dim(ctx: GroupContext, s: int, d: int) -> int:
         return 1 if d == 0 else 0
     if s > ctx.n or d < s:
         return 0
-    return _fn_size_counts(ctx).get(s, 0) * sym_ext_dim(s, d - s)
+    return _fn_size_counts(ctx).get(s, 0) * free_monomial_count(s, d - s)
 
 
 def e2_total(ctx: GroupContext, d: int) -> int:

@@ -13,6 +13,7 @@ basis: the ideal is homogeneous, so the weight-w truncation is exact.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
@@ -212,62 +213,45 @@ class Presentation:
                     raise ValueError("relation uses a generator outside the arrangement")
 
 
-def _monomial_sort_key(gens: Sequence):
-    index = {g: i for i, g in enumerate(gens)}
-
-    def key(m: SuperMonomial):
-        u_ix = tuple(index[k] for k in m.u_set)
-        t_vec = [0] * len(gens)
-        for k, e in m.t_exp:
-            t_vec[index[k]] = e
-        return (len(m.u_set), u_ix, tuple(t_vec))
-
-    return key
-
-
 def free_monomials(gens: Sequence, weight: int) -> list[SuperMonomial]:
-    """All monomials of exact weight on the given ordered generator keys,
-    in the fixed order: odd length ascending, then odd part, then t-vector,
-    with generators compared by their position in gens.  Monomials themselves
-    are normalized in key order, so gens need not be sorted."""
+    """All monomials of exact weight on the given generator keys, each
+    normalized in key order, so gens need not be sorted.
+
+    The order compares, in turn: the odd length, ascending; the odd part, as
+    the increasing tuple of its generators' positions in gens, in lex order;
+    the t-exponent vector indexed by position in gens, in lex order.  For
+    sorted gens this is odd length, then odd part, then t-vector in key order.
+    """
     if weight < 0:
         raise ValueError("weight must be >= 0")
-    keyed = tuple(sorted(gens))
+    keyed = sorted(gens)
+    rank = {g: r for r, g in enumerate(keyed)}
+    key_rank = [rank[g] for g in gens]
+    positions = range(len(gens))
     out = []
-    for j in range(min(len(keyed), weight), -1, -1):
-        if (weight - j) % 2:
-            continue
+    for j in range(weight % 2, min(len(gens), weight) + 1, 2):
         tdeg = (weight - j) // 2
-        for u_keys in itertools.combinations(keyed, j):
-            for t_vec in _compositions(tdeg, len(keyed)):
-                t_exp = tuple((g, e) for g, e in zip(keyed, t_vec) if e)
-                out.append(SuperMonomial(t_exp, u_keys))
-    out.sort(key=_monomial_sort_key(tuple(gens)))
+        # combinations_with_replacement yields the t-vectors in descending
+        # lex order, so its reverse is ascending
+        t_parts = reversed(list(itertools.combinations_with_replacement(positions, tdeg)))
+        t_exps = [
+            tuple((keyed[r], e) for r, e in sorted(Counter(key_rank[i] for i in part).items()))
+            for part in t_parts
+        ]
+        for odd in itertools.combinations(positions, j):
+            u_set = tuple(keyed[r] for r in sorted(key_rank[i] for i in odd))
+            out.extend(SuperMonomial(t_exp, u_set) for t_exp in t_exps)
     return out
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of given length and sum, lex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 def free_monomial_count(num_gens: int, weight: int) -> int:
-    """Closed-form count of free_monomials output."""
+    """Length of free_monomials on g = num_gens generator pairs: the series
+    (1+x)^g / (1-x^2)^g is 1/(1-x)^g, so it is C(weight + g - 1, g - 1)."""
+    if num_gens < 0 or weight < 0:
+        raise ValueError("arguments must be nonnegative")
     if num_gens == 0:
         return 1 if weight == 0 else 0
-    total = 0
-    for j in range(min(num_gens, weight) + 1):
-        if (weight - j) % 2:
-            continue
-        tdeg = (weight - j) // 2
-        total += comb(num_gens, j) * comb(tdeg + num_gens - 1, num_gens - 1)
-    return total
+    return comb(weight + num_gens - 1, num_gens - 1)
 
 
 @dataclass
@@ -358,8 +342,8 @@ def _quotient_data(pres: Presentation, weight: int) -> _QuotientData:
     """Eliminate the weight-w Macaulay matrix one odd-degree column block at
     a time.
 
-    free_monomials sorts by odd length, so each odd degree is a contiguous
-    column range.  A relation whose terms share one odd degree lands every
+    free_monomials builds its list one odd length at a time, in ascending
+    order, so each odd degree is a contiguous column range.  A relation whose terms share one odd degree lands every
     row in a single block, so the blocks are independent; if some relation
     mixes odd degrees the whole weight is one block.
     """

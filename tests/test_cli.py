@@ -177,6 +177,31 @@ class TestArrangementFile:
         assert code == 2
         assert "'n'" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"p": 3, "n": 2, "lines": 5},
+            {"p": 3, "n": 2, "lines": [5]},
+            {"p": "x", "n": 2, "lines": [[1, 0]]},
+            {"p": None, "n": 2, "lines": [[1, 0]]},
+            {"p": 3, "n": 2, "lines": []},
+            {"p": 3.5, "n": 2, "lines": [[1, 0]]},
+            {"p": True, "n": 2, "lines": [[1, 0]]},
+            {"p": 3, "n": 2.0, "lines": [[1, 0]]},
+            {"p": 3, "n": 2, "lines": [[1, None]]},
+            [3, 2, [[1, 0]]],
+        ],
+        ids=["lines-int", "lines-int-row", "p-str", "p-null", "lines-empty", "p-float",
+             "p-bool", "n-float", "null-coordinate", "not-an-object"],
+    )
+    def test_malformed_file_is_a_usage_error(self, data, tmp_path, capsys):
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["localize", "--cutoff", "2", "--arrangement", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: arrangement file ")
+
 
 class TestSampling:
     def test_seeded_sampling_is_reproducible(self, capsys):
@@ -194,6 +219,20 @@ class TestSampling:
         _, out1, _ = run_cli(base + ["--seed", "1"], capsys)
         _, out2, _ = run_cli(base + ["--seed", "2"], capsys)
         assert out1 != out2
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--sample", "-2", "--lines", "1,0"], "--sample must be a nonnegative integer"),
+            (["--sample", "2", "--sample-max-size", "0"], "--sample-max-size must be >= 1"),
+            (["--sample", "2", "--sample-max-size", "-4"], "--sample-max-size must be >= 1"),
+        ],
+        ids=["sample-negative", "max-size-zero", "max-size-negative"],
+    )
+    def test_bad_sample_sizes_are_refused(self, flags, message, capsys):
+        argv = ["localize", "--p", "3", "--n", "2", "--cutoff", "2", *flags]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 class TestMiscCommands:
@@ -278,6 +317,40 @@ class TestRoTableGolden:
     def test_ro_dim_two_labels_on_one_line(self, fmt, digest, capsys):
         argv = "--p 5 --n 2 --mult 1,0:1;2,0:1 --k 3 --format %s" % fmt
         code, out, _ = run_cli(["ro-dim", *argv.split()], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestPhiBasisGolden:
+    # SHA-256 of stdout, recorded while free_monomials still sorted its
+    # output; phi-basis prints the kept monomials in that order.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "--p 3 --n 3 --weight 4",
+                "d89737f217d2780694654a1a6e99ec893d718f283372a7c67cd1b6feca9f7bd5",
+            ),
+            (
+                "--p 3 --n 3 --weight 4 --format json",
+                "f25509d4ff08f6394b7c9ffdc676343314da0484d29f6f0f33ad0d6764bb6180",
+            ),
+            (
+                "--p 7 --n 2 --weight 5",
+                "c8fec2bc932c2a150e9f5e4eb68cf6485fa0dad62ab70ea634d8c822146390e0",
+            ),
+            (
+                "--p 3 --n 2 --weight 3 --verbatim",
+                "fc6cd920b31fc06a57a7baa251ad38946f5e1a60198406bcb61e2ceef8647acf",
+            ),
+            (
+                "--p 5 --n 2 --weight 6 --format json",
+                "86a1b452606632e76509e2c1be0a7cf46e467a6f5051bf488b1dcb3f22c87420",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, argv, digest, capsys):
+        code, out, _ = run_cli(["phi-basis", *argv.split()], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -45,8 +45,11 @@ def test_arrangement_scan_runs():
         ["localize", "--p", "3", "--n", "3", "--cutoff", "4", "--lines", "1,0,0;0,1,0;1,1,1"],
         ["phi-verify", "--p", "3", "--n", "2", "--cutoff", "4"],
         ["phi-verify", "--p", "3", "--n", "2", "--cutoff", "3", "--verbatim", "--format", "json"],
+        ["phi-basis", "--p", "5", "--n", "2", "--weight", "3"],
+        ["phi-basis", "--p", "3", "--n", "2", "--weight", "3", "--verbatim"],
     ],
-    ids=["ro-table", "ro-dim", "localize", "phi-verify", "phi-verify-verbatim"],
+    ids=["ro-table", "ro-dim", "localize", "phi-verify", "phi-verify-verbatim", "phi-basis",
+         "phi-basis-verbatim"],
 )
 def test_optimized_run_matches_plain_run(argv):
     # python -O strips assert statements: no result may depend on one

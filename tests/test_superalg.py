@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phiring.charspace import GroupContext, enumerate_lines
+from phiring.charspace import GroupContext, enumerate_characters, enumerate_lines
 from phiring.modp import RowReducer
 from phiring.phi import build_phi_presentation, line_presentation, verbatim_presentation
 from phiring.superalg import (
@@ -17,6 +18,7 @@ from phiring.superalg import (
     monomial_basis,
     quotient_dimension,
 )
+from monomial_reference import reference_free_monomials
 
 CTX32 = GroupContext(3, 2)
 LINES32 = enumerate_lines(CTX32)
@@ -147,6 +149,44 @@ class TestFreeMonomials:
         ms = free_monomials(LINES32, 3)
         assert ms == free_monomials(LINES32, 3)
         assert [m.odd_degree for m in ms] == sorted(m.odd_degree for m in ms)
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
+    def test_sorted_keys_match_the_reference(self, p, n):
+        ctx = GroupContext(p, n)
+        rng = random.Random(10 * p + n)
+        for keys in (enumerate_lines(ctx), tuple(enumerate_characters(ctx))):
+            for g in range(min(7, len(keys)) + 1):
+                gens = tuple(sorted(rng.sample(keys, g)))
+                for w in range(9):
+                    assert free_monomials(gens, w) == reference_free_monomials(gens, w), (g, w)
+
+    @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
+    def test_shuffled_keys_follow_their_positions(self, p, n):
+        # odd length, then the increasing tuple of the odd generators'
+        # positions in gens, then the t-vector indexed by position
+        ctx = GroupContext(p, n)
+        rng = random.Random(100 * p + n)
+        for keys in (enumerate_lines(ctx), tuple(enumerate_characters(ctx))):
+            for g in range(2, min(7, len(keys)) + 1):
+                gens = rng.sample(keys, g)
+                position = {k: i for i, k in enumerate(gens)}
+
+                def order(m):
+                    t_vec = [0] * g
+                    for k, e in m.t_exp:
+                        t_vec[position[k]] = e
+                    return (m.odd_degree, tuple(sorted(position[k] for k in m.u_set)), tuple(t_vec))
+
+                for w in range(9):
+                    ms = free_monomials(gens, w)
+                    assert Counter(ms) == Counter(reference_free_monomials(gens, w)), (gens, w)
+                    ranks = [order(m) for m in ms]
+                    assert all(a < b for a, b in zip(ranks, ranks[1:])), (gens, w)
+
+    def test_count_rejects_negative(self):
+        for args in ((-1, 0), (0, -1), (3, -2)):
+            with pytest.raises(ValueError):
+                free_monomial_count(*args)
 
 
 def phi_pres():
