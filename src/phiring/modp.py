@@ -94,23 +94,26 @@ def _remainder(x: np.ndarray, p: int) -> None:
 
 
 class RrefBasis:
-    """Reduced row echelon basis of a growing row space over F_p, fed dense
-    blocks of rows.
+    """Reduced row echelon basis of a growing row space over F_p, fed chunks
+    of sparse rows.
 
-    Entries are float64 integers in [0, p), so a whole block is reduced
-    against the basis with one BLAS product, ``B -= B[:, piv] @ E``.  Every
-    intermediate is an integer of magnitude at most ncols*(p-1)^2, which
-    float64 holds exactly while that stays below 2^53; the constructor
-    refuses larger shapes.  The rows that survive are brought to reduced
-    echelon form by a recursive Gauss-Jordan whose steps are again matrix
-    products, and the basis is then back-reduced in place.
+    Entries are float64 integers in [0, p).  A chunk arrives as its nonzero
+    entries and is scattered into a dense block; each entry that sits at a
+    pivot column then subtracts its value times that column's basis row, so
+    the reduction against the basis costs nnz*width multiply-adds rather
+    than rows*rank*width.  Every intermediate is an integer of magnitude at
+    most ncols*(p-1)^2, which float64 holds exactly while that stays below
+    2^53; the constructor refuses larger shapes.  The rows that survive are
+    brought to reduced echelon form by a recursive Gauss-Jordan whose steps
+    are BLAS products, and only the basis rows with a nonzero at one of the
+    new pivots are back-reduced.
 
     The reduced echelon form of a row space is unique, so rank and pivot
     columns depend only on the rows fed, not on their order or on how they
-    are split into blocks: they agree with RowReducer's.
+    are split into chunks: they agree with RowReducer's.
     """
 
-    _SLAB_ROWS = 64  # bounds the temporary of an in-place product
+    _SLAB_ROWS = 64  # bounds the temporaries of in-place products and back-reduction
 
     def __init__(self, ncols: int, p: int):
         if ncols < 0:
@@ -125,7 +128,8 @@ class RrefBasis:
         # Room for the largest possible rank; np.zeros leaves the pages of
         # rows not yet added untouched, so they cost no resident memory.
         self._rows = np.zeros((ncols, ncols))
-        self._pivots = np.zeros(ncols, dtype=np.intp)
+        # basis row whose pivot is each column, -1 off the pivots
+        self._slot = np.full(ncols, -1, dtype=np.intp)
         self._rank = 0
 
     @property
@@ -134,27 +138,67 @@ class RrefBasis:
 
     @property
     def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(sorted(self._pivots[: self._rank].tolist()))
+        return tuple(np.flatnonzero(self._slot >= 0).tolist())
 
-    def add_rows(self, block: np.ndarray) -> int:
-        """Reduce a float64 block of rows (entries integers in [0, p)) into
-        the basis; the block is overwritten.  Returns the rank gained."""
-        if block.ndim != 2 or block.shape[1] != self.ncols or block.dtype != np.float64:
-            raise ValueError("block must be a float64 array with %d columns" % self.ncols)
+    def add_rows(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> int:
+        """Reduce a chunk of rows into the basis, given as its entries: local
+        row ids from 0, columns, and values that are integers in [0, p),
+        strictly increasing in (row, column) order.  Returns the rank
+        gained."""
+        rows, cols, vals = (np.asarray(a) for a in (rows, cols, vals))
+        if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
+            raise ValueError("rows, cols and vals must be 1-d arrays of one length")
+        if len(rows) and (
+            rows[0] < 0
+            or cols.min() < 0
+            or cols.max() >= self.ncols
+            or (np.diff(rows.astype(np.int64) * self.ncols + cols) <= 0).any()
+            or vals.min() < 0
+            or vals.max() >= self.p
+        ):
+            raise ValueError(
+                "entries need rows >= 0, columns in [0, %d), strictly increasing "
+                "(row, column) pairs and values in [0, %d)" % (self.ncols, self.p)
+            )
         r = self._rank
-        basis, pivots = self._rows[:r], self._pivots[:r]
+        if r == self.ncols or len(rows) == 0:
+            return 0
+        block = np.zeros((int(rows[-1]) + 1, self.ncols))
+        block[rows, cols] = vals
         if r:
-            self._reduce(block, pivots, basis)
+            self._reduce_entries(block, rows, cols, vals)
         new_rows, new_pivots = self._rref(block[block.any(axis=1)])
         k = len(new_pivots)
         if k == 0:
             return 0
-        if r:
-            self._reduce(basis, new_pivots, new_rows)
+        touched = np.flatnonzero(self._rows[:r, new_pivots].any(axis=1))
+        for s in range(0, len(touched), self._SLAB_ROWS):
+            at = touched[s : s + self._SLAB_ROWS]
+            part = self._rows[at]
+            self._reduce(part, new_pivots, new_rows)
+            self._rows[at] = part
         self._rows[r : r + k] = new_rows
-        self._pivots[r : r + k] = new_pivots
+        self._slot[new_pivots] = np.arange(r, r + k)
         self._rank = r + k
         return k
+
+    def _reduce_entries(
+        self, block: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+    ) -> None:
+        """block -= block[:, pivots] @ basis (mod p), taking block[:, pivots]
+        from the chunk's entries: the k-th pivot entry of every row is
+        subtracted in one gathered step."""
+        slot = self._slot[cols]
+        hit = slot >= 0
+        rows, slot, vals = rows[hit], slot[hit], vals[hit]
+        if len(rows) == 0:
+            return
+        first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        nth = np.arange(len(rows)) - np.repeat(first, np.diff(np.append(first, len(rows))))
+        for k in range(int(nth.max()) + 1):
+            at = nth == k
+            block[rows[at]] -= vals[at, None] * self._rows[slot[at]]
+        _remainder(block, self.p)
 
     def _reduce(self, rows: np.ndarray, pivots, basis: np.ndarray) -> None:
         """rows -= rows[:, pivots] @ basis (mod p), in place."""

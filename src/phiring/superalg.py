@@ -261,12 +261,15 @@ class _QuotientData:
 
 
 # Relation terms are multiplied by their shifts in slabs of about
-# _SLAB_PRODUCTS products.  Dense Macaulay rows go to the eliminator in chunks
-# of about _CHUNK_ENTRIES entries (128 KB of float64): with chunks of 64 rows
-# and more, the allocator kept enough freed temporaries resident to raise
-# the peak memory of phi-verify (7,2,5) by a tenth.  A chunk still has at
-# least _MIN_CHUNK_ROWS rows, so that wide blocks reduce in steps BLAS runs
-# efficiently and the basis is back-reduced at most once per that many rows.
+# _SLAB_PRODUCTS products.  A block's Macaulay rows go to the eliminator as
+# sparse entries, a chunk of rows at a time; it scatters each chunk into a
+# dense array, reduces it through the entries at basis pivots, and pays one
+# recursive RREF and one back-reduction of the touched basis rows per chunk.
+# Narrow blocks take chunks of about _CHUNK_ENTRIES dense entries (128 KB of
+# float64): fixed 32-row chunks made phi-verify (7,2,5) slower by a tenth in
+# the presentation, and chunks four times larger raised its peak memory by
+# 1.6 MB.  Wide blocks take _MIN_CHUNK_ROWS rows: the top weights of
+# (7,2,7) and (3,3,5) ran slower with 64 to 256.
 _SLAB_PRODUCTS = 1 << 16
 _CHUNK_ENTRIES = 1 << 14
 _MIN_CHUNK_ROWS = 32
@@ -360,7 +363,7 @@ def _quotient_data(pres: Presentation, weight: int) -> _QuotientData:
     n_blocks = int(block_of_col.max()) + 1
     col_bounds = np.searchsorted(block_of_col, np.arange(n_blocks + 1))
     blocks = block_of_col[cols]
-    perm = np.lexsort((rows, blocks))
+    perm = np.lexsort((cols, rows, blocks))
     rows, cols, vals, blocks = rows[perm], cols[perm], vals[perm], blocks[perm]
     entry_bounds = np.searchsorted(blocks, np.arange(n_blocks + 1))
     pivots: list[int] = []
@@ -377,9 +380,7 @@ def _quotient_data(pres: Presentation, weight: int) -> _QuotientData:
         kernel = RrefBasis(width, p)
         for first in range(0, n_rows, chunk):
             a, z = np.searchsorted(local, [first, first + chunk])
-            dense = np.zeros((min(chunk, n_rows - first), width))
-            dense[local[a:z] - first, block_cols[a:z]] = block_vals[a:z]
-            kernel.add_rows(dense)
+            kernel.add_rows(local[a:z] - first, block_cols[a:z], block_vals[a:z])
         pivots.extend(c0 + c for c in kernel.pivot_columns)
     pivot_set = set(pivots)
     kept = tuple(m for i, m in enumerate(basis) if i not in pivot_set)

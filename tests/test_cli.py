@@ -83,6 +83,17 @@ class TestVerify:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["equal"] == [True] * 5
 
+    def test_p7_n2_cutoff7_is_all_equal_within_10s(self):
+        # 3432 columns at the top weight; the presentation's Macaulay
+        # elimination dominates
+        argv = ["phi-verify", "--p", "7", "--n", "2", "--cutoff", "7", "--format", "json"]
+        start = time.monotonic()
+        proc = run_proc(argv, timeout=120)
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["equal"] == [True] * 8
+        assert elapsed < 10, "took %.1f s" % elapsed
+
 
 class TestUsageErrors:
     def test_invalid_prime(self, capsys):

@@ -10,8 +10,12 @@ from phiring.modp import RowReducer, RrefBasis, _remainder
 
 @st.composite
 def sparse_matrices(draw):
-    """A random sparse matrix mod p as a list of {column: coefficient} rows,
-    with zero rows, duplicated rows and scaled copies mixed in."""
+    """A random matrix mod p as a list of {column: coefficient} rows, split
+    into chunks.  Zero rows, duplicated and scaled rows, rows with up to
+    ncols nonzeros and fully dense rows are mixed in.  The rows may come
+    sorted by leading column, rightmost first, so that later chunks place
+    pivots left of earlier ones; or a full-rank chunk may come first, so
+    that the basis is complete before the last chunk."""
     p = draw(st.sampled_from([3, 5, 7, 11]))
     ncols = draw(st.integers(1, 24))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -24,24 +28,71 @@ def sparse_matrices(draw):
         elif kind < 0.3 and rows:
             k = rng.randrange(1, p)
             rows.append({c: k * v % p for c, v in rng.choice(rows).items()})
+        elif kind < 0.4:
+            row = {c: rng.randrange(p) for c in range(ncols)}
+            row[rng.randrange(ncols)] = rng.randrange(1, p)
+            rows.append({c: v for c, v in row.items() if v})
         else:
-            nnz = rng.randint(1, min(ncols, 6))
+            nnz = rng.randint(1, ncols)
             rows.append({c: rng.randrange(1, p) for c in rng.sample(range(ncols), nnz)})
+    order = draw(st.sampled_from(["drawn", "leads_descending", "full_rank_first"]))
+    if order == "leads_descending":
+        rows.sort(key=lambda row: min(row, default=-1), reverse=True)
     chunks = []
     left = len(rows)
     while left:
         size = rng.randint(1, left)
         chunks.append(size)
         left -= size
+    if order == "full_rank_first":
+        # an upper unitriangular block, then everything else
+        full = [{c: 1 if c == i else rng.randrange(p) for c in range(i, ncols)}
+                for i in range(ncols)]
+        rows = full + rows + [{rng.randrange(ncols): 1}]
+        chunks = [ncols] + chunks + [1]
     return p, ncols, rows, chunks
 
 
-def dense(rows, ncols):
-    out = np.zeros((len(rows), ncols))
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            out[i, c] = v
-    return out
+def entries(rows):
+    """The (local row, column, value) entries of {column: value} rows."""
+    triples = [(i, c, v) for i, row in enumerate(rows) for c, v in sorted(row.items())]
+    r, c, v = zip(*triples) if triples else ((), (), ())
+    return np.array(r, dtype=np.intp), np.array(c, dtype=np.intp), np.array(v, dtype=np.int64)
+
+
+def reference_rref(rows, ncols, p):
+    """Reduced echelon rows of the span, ordered by pivot column: textbook
+    Gauss-Jordan on Python integers, all rows at once."""
+    m = [[row.get(c, 0) % p for c in range(ncols)] for row in rows]
+    r = 0
+    for c in range(ncols):
+        pick = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        r += 1
+    return m[:r]
+
+
+def kernel_rref(kernel):
+    """The kernel's basis rows, ordered by pivot column, and those columns."""
+    pivots = np.flatnonzero(kernel._slot >= 0)
+    return kernel._rows[kernel._slot[pivots]], pivots
+
+
+def feed(kernel, rows, chunks):
+    gained = []
+    start = 0
+    for size in chunks:
+        gained.append(kernel.add_rows(*entries(rows[start : start + size])))
+        start += size
+    return gained
 
 
 class TestRrefBasisAgainstRowReducer:
@@ -52,28 +103,43 @@ class TestRrefBasisAgainstRowReducer:
         for row in rows:
             ref.add_row(row.items())
         kernel = RrefBasis(ncols, p)
-        gained = 0
-        start = 0
-        for size in chunks:
-            gained += kernel.add_rows(dense(rows[start : start + size], ncols))
-            start += size
+        gained = sum(feed(kernel, rows, chunks))
         assert kernel.rank == gained == ref.rank
         assert kernel.pivot_columns == ref.pivot_columns
+        assert kernel_rref(kernel)[0].astype(np.int64).tolist() == reference_rref(rows, ncols, p)
 
     def test_basis_is_reduced_echelon(self):
         rng = random.Random(3)
         p, ncols = 7, 30
         kernel = RrefBasis(ncols, p)
         for _ in range(5):
-            block = np.array([[rng.randrange(p) if rng.random() < 0.2 else 0 for _ in range(ncols)]
-                              for _ in range(9)], dtype=np.float64)
-            kernel.add_rows(block)
-        rows = kernel._rows[: kernel.rank]
-        pivots = list(kernel._pivots[: kernel.rank])
+            block = [{c: rng.randrange(1, p) for c in range(ncols) if rng.random() < 0.2}
+                     for _ in range(9)]
+            kernel.add_rows(*entries(block))
+        rows, pivots = kernel_rref(kernel)
         assert np.array_equal(rows[:, pivots], np.eye(kernel.rank))
         assert ((rows >= 0) & (rows < p)).all()
         for row, piv in zip(rows, pivots):
             assert np.flatnonzero(row)[0] == piv
+
+    def test_back_reduces_only_what_the_new_pivots_touch(self):
+        p, ncols = 5, 4
+        kernel = RrefBasis(ncols, p)
+        # pivots 2 and 0; only the second row has a nonzero at column 1
+        assert kernel.add_rows(*entries([{2: 1, 3: 4}, {0: 1, 1: 3, 3: 2}])) == 2
+        # a new pivot at column 1, left of the first pivot and right of the second
+        assert kernel.add_rows(*entries([{1: 2, 2: 1}])) == 1
+        assert kernel_rref(kernel)[0].astype(np.int64).tolist() == reference_rref(
+            [{2: 1, 3: 4}, {0: 1, 1: 3, 3: 2}, {1: 2, 2: 1}], ncols, p
+        )
+
+    def test_full_rank_ends_the_work(self):
+        p, ncols = 3, 3
+        kernel = RrefBasis(ncols, p)
+        assert kernel.add_rows(*entries([{0: 1, 1: 2}, {1: 1, 2: 1}, {2: 2}])) == 3
+        assert kernel.add_rows(*entries([{0: 1}, {1: 2, 2: 2}])) == 0
+        assert kernel.rank == 3 and kernel.pivot_columns == (0, 1, 2)
+        assert np.array_equal(kernel_rref(kernel)[0], np.eye(3))
 
 
 class TestRrefBasisChecks:
@@ -89,7 +155,23 @@ class TestRrefBasisChecks:
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
-            RrefBasis(4, 3).add_rows(np.zeros((2, 5)))
+            RrefBasis(4, 3).add_rows(np.array([0, 1]), np.array([0, 4]), np.array([1, 1]))
+
+    @pytest.mark.parametrize(
+        "rows, cols, vals",
+        [
+            ([0, 1], [0, -1], [1, 1]),  # negative column
+            ([1, 0], [0, 1], [1, 1]),  # rows out of order
+            ([0, 0], [2, 1], [1, 1]),  # columns of a row out of order
+            ([0, 0], [1, 1], [1, 1]),  # an entry repeated
+            ([-1, 0], [0, 1], [1, 1]),  # negative row
+            ([0, 1], [0, 1], [1, 3]),  # value not below p
+            ([0, 1], [0, 1], [1]),  # lengths differ
+        ],
+    )
+    def test_rejects_malformed_entries(self, rows, cols, vals):
+        with pytest.raises(ValueError):
+            RrefBasis(4, 3).add_rows(np.array(rows), np.array(cols), np.array(vals))
 
 
 @given(st.sampled_from([3, 5, 7, 11, 2**26 + 15]), st.lists(st.integers(-(2**53) + 1, 2**53 - 1), max_size=50))

@@ -2,6 +2,7 @@
 package."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -34,6 +35,20 @@ def test_arrangement_scan_runs():
     proc = run_script("arrangement_scan.py", "--p", "3", "--n", "3", "--count", "4", "--cutoff", "4")
     assert proc.returncode == 0, proc.stderr
     assert "scanned" in proc.stdout
+
+
+def test_bench_writes_its_report(tmp_path):
+    proc = run_script("bench.py", "--label", "smoke", "--jobs", "3,2,3", "--repeat", "2",
+                      "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
+    (job,) = report["jobs"]
+    assert job["job"] == "phi-verify --p 3 --n 2 --cutoff 3"
+    assert job["exit"] == [0] and len(job["wall_s"]) == 2 and len(job["stdout_sha256"]) == 1
+    weights = job["weights"]
+    assert [w["weight"] for w in weights] == [0, 1, 2, 3]
+    assert [w["presentation_dim"] for w in weights] == [w["oracle_dim"] for w in weights] == [1, 4, 7, 10]
+    assert all(w["presentation_s"] >= 0 and w["oracle_s"] >= 0 for w in weights)
 
 
 @pytest.mark.parametrize(
