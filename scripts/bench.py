@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Time phi-verify jobs end to end and the two routes weight by weight, and
+"""Time phiring jobs end to end and the two routes weight by weight, and
 write the figures to BENCH_<label>.json.
 
 Examples:
     python scripts/bench.py --label before
     python scripts/bench.py --label after --jobs 7,2,5 3,3,4 --repeat 5
+    python scripts/bench.py --label lz --jobs "localize --p 3 --n 3 --cutoff 6 --sample 20"
 
-Every job p,n,cutoff runs in fresh interpreters that import phiring from
-this checkout's src/, with single-threaded BLAS:
+A job is either p,n,cutoff, which stands for `phi-verify --p p --n n
+--cutoff cutoff`, or a whole phiring command line.  Every job runs in fresh
+interpreters that import phiring from this checkout's src/, with
+single-threaded BLAS:
 
-* end to end, --repeat times: `python -m phiring.cli phi-verify` with the
-  wall time, exit status, peak resident memory and stdout digest of each run
+* end to end, --repeat times: `python -m phiring.cli <job>` with the wall
+  time, exit status, peak resident memory and stdout digest of each run
   (equal digests mean byte-identical reports);
-* once by layer: the presentation is built, then for each weight w the
-  presentation route, quotient_dimension(pres, w), and the weight-w step of
-  the oracle's subring_hilbert are timed, with the columns (free monomials)
-  and the dimension each route finds.
+* for a p,n,cutoff job, also once by layer: the presentation is built, then
+  for each weight w the presentation route, quotient_dimension(pres, w),
+  and the weight-w step of the oracle's subring_hilbert are timed, with the
+  columns (free monomials) and the dimension each route finds.  The
+  oracle's time is split into building the rows of its dx-degree blocks
+  and eliminating them.
 
 Needs only the standard library and numpy.
 """
@@ -32,7 +37,15 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_JOBS = ["5,2,6", "7,2,5", "7,2,7", "3,3,4", "3,3,5"]
+DEFAULT_JOBS = [
+    "5,2,6",
+    "7,2,5",
+    "7,2,7",
+    "3,3,4",
+    "3,3,5",
+    "localize --p 3 --n 3 --cutoff 6 --sample 20 --sample-max-size 6",
+    "ro-table --p 3 --n 3 --max-mult 4 --k-max 8",
+]
 ENV = dict(
     os.environ,
     PYTHONPATH=str(ROOT / "src"),
@@ -44,8 +57,12 @@ ENV = dict(
 
 
 def parse_job(text):
+    """(argv, (p, n, cutoff)) of a p,n,cutoff job; (argv, None) of a
+    command line."""
+    if " " in text.strip():
+        return text.split(), None
     p, n, cutoff = (int(v) for v in text.split(","))
-    return p, n, cutoff
+    return ["phi-verify", "--p", str(p), "--n", str(n), "--cutoff", str(cutoff)], (p, n, cutoff)
 
 
 def run(argv):
@@ -61,7 +78,7 @@ def run(argv):
 def layers(p, n, cutoff):
     """Per-weight timings of both routes, as a JSON-ready dict."""
     from phiring.charspace import GroupContext, enumerate_lines
-    from phiring.oracle import span_rank
+    from phiring.oracle import _block_rows, _blocks, _rows_rank
     from phiring.phi import build_phi_presentation
     from phiring.superalg import free_monomials, quotient_dimension
 
@@ -76,8 +93,17 @@ def layers(p, n, cutoff):
         start = time.perf_counter()
         pres_dim = quotient_dimension(pres, w)
         pres_s = time.perf_counter() - start
+        # span_rank, one dx-degree block at a time
+        rows_s = elim_s = 0.0
+        oracle_dim = 0
         start = time.perf_counter()
-        oracle_dim = span_rank(monomials, w, ctx)
+        for block in _blocks(monomials, w, ctx):
+            t0 = time.perf_counter()
+            rows = _block_rows(block, ctx)
+            t1 = time.perf_counter()
+            oracle_dim += _rows_rank(rows, p)
+            rows_s += t1 - t0
+            elim_s += time.perf_counter() - t1
         oracle_s = time.perf_counter() - start
         weights.append({
             "weight": w,
@@ -85,19 +111,23 @@ def layers(p, n, cutoff):
             "presentation_s": round(pres_s, 4),
             "presentation_dim": pres_dim,
             "oracle_s": round(oracle_s, 4),
+            "oracle_rows_s": round(rows_s, 4),
+            "oracle_elim_s": round(elim_s, 4),
             "oracle_dim": oracle_dim,
         })
     return {"build_s": round(build_s, 4), "weights": weights}
 
 
-def bench_job(p, n, cutoff, repeat):
-    argv = ["phi-verify", "--p", str(p), "--n", str(n), "--cutoff", str(cutoff)]
+def bench_job(text, repeat):
+    argv, triple = parse_job(text)
     runs = [run([sys.executable, "-m", "phiring.cli", *argv]) for _ in range(repeat)]
     walls = [seconds for seconds, _, _, _ in runs]
-    job = "%d,%d,%d" % (p, n, cutoff)
-    _, layer_status, by_layer, _ = run([sys.executable, __file__, "--layers", job])
-    if layer_status != 0:
-        raise SystemExit("layer timing of %s failed with exit %d" % (job, layer_status))
+    by_layer = {}
+    if triple is not None:
+        _, layer_status, out, _ = run([sys.executable, __file__, "--layers", text])
+        if layer_status != 0:
+            raise SystemExit("layer timing of %s failed with exit %d" % (text, layer_status))
+        by_layer = json.loads(out)
     return {
         "job": " ".join(argv),
         "wall_s": [round(s, 3) for s in walls],
@@ -105,7 +135,7 @@ def bench_job(p, n, cutoff, repeat):
         "exit": sorted({status for _, status, _, _ in runs}),
         "max_rss_mb": round(max(rss for _, _, _, rss in runs), 1),
         "stdout_sha256": sorted({hashlib.sha256(out).hexdigest() for _, _, out, _ in runs}),
-        **json.loads(by_layer),
+        **by_layer,
     }
 
 
@@ -114,13 +144,14 @@ def main():
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--label", help="names the output file BENCH_<label>.json")
-    parser.add_argument("--jobs", nargs="+", default=DEFAULT_JOBS, help="p,n,cutoff triples")
+    parser.add_argument("--jobs", nargs="+", default=DEFAULT_JOBS,
+                        help="p,n,cutoff triples or quoted phiring command lines")
     parser.add_argument("--repeat", type=int, default=3, help="end-to-end runs per job")
     parser.add_argument("--out-dir", default=".", help="directory for the output file")
     parser.add_argument("--layers", metavar="P,N,CUTOFF", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.layers:
-        print(json.dumps(layers(*parse_job(args.layers))))
+        print(json.dumps(layers(*parse_job(args.layers)[1])))
         return
     if not args.label or args.repeat < 1:
         parser.error("--label is required and --repeat must be positive")
@@ -138,8 +169,8 @@ def main():
         "jobs": [],
     }
     for text in args.jobs:
-        job = bench_job(*parse_job(text), args.repeat)
-        print("%-40s median %8.3f s  max RSS %7.1f MB  exit %s"
+        job = bench_job(text, args.repeat)
+        print("%-66s median %8.3f s  max RSS %7.1f MB  exit %s"
               % (job["job"], job["wall_s_median"], job["max_rss_mb"], job["exit"]), flush=True)
         report["jobs"].append(job)
     path = Path(args.out_dir) / ("BENCH_%s.json" % args.label)

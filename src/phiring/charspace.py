@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import comb
 
 from .modp import inverse_mod
 
@@ -357,11 +356,3 @@ def subset_rank_count(ctx: GroupContext, s: int, r: int) -> int:
             "subset_rank_count(%d, %d): %d is not divisible by %d" % (s, r, total, s)
         )
     return total // s
-
-
-def subset_rank_count_bruteforce(ctx: GroupContext, s: int, r: int) -> int:
-    """Reference enumeration; only sensible when C(p^n - 1, s) is small."""
-    if comb(ctx.num_characters, s) > 10**5:
-        raise ValueError("universe too large for brute force")
-    chars = list(enumerate_characters(ctx))
-    return sum(1 for sub in itertools.combinations(chars, s) if rank_of(sub, ctx) == r)

@@ -1,5 +1,14 @@
 """Exact linear algebra over the prime field F_p.
 
+One elimination kernel serves both routes that eliminate: rref brings a
+dense float64 block to reduced echelon form, recursively, down to a
+Gauss-Jordan base case of at most _BASE_ROWS rows.  Its entries stay
+integers of magnitude at most width*(p-1)^2, exact in float64 below 2^53.
+RrefBasis feeds it the presentation's Macaulay rows, chunk by chunk; the
+oracle feeds it each dx-degree block whole.  Above 2^53 the oracle falls
+back to RowReducer, exact integer elimination, which the tests also use as
+the reference.
+
 Everything here is deterministic: pivot columns are always chosen leftmost,
 so the pivot-column set of a row collection depends only on its row space,
 never on the order rows are fed in.
@@ -71,18 +80,31 @@ class RowReducer:
             row = (row - int(row[lead]) * self._pivot_rows[slot]) % p
 
 
+# Below this many entries one np.remainder call beats _remainder's nine: on
+# 8x64 float64 blocks it took 11.6 us against 18.2 us, on 8x128 blocks
+# 20.6 us against 17.1 us (one core, p = 7).
+_SMALL_REMAINDER = 512
+
+
 def _remainder(x: np.ndarray, p: int) -> None:
     """x %= p in place, exactly, for float64 integers of magnitude below 2^53.
 
-    np.remainder is several times slower.  For |x| < 2^53, x times the
-    rounded 1/p is within 2/p of x/p, so its floor q is off by at most one
-    from the floor quotient, and p*q exceeds x by at most 1 when it exceeds
-    it at all: below 2^53, exact.  Near -2^53, p*q can fall below -2^53,
-    where float64 integers are no longer exact, so q is raised to at least
-    -((2^53 - 1) // p), which is still within one of the floor quotient.
-    Then x - p*q lies in [-p, 2p), and one masked add and one masked
-    subtract bring it into [0, p).
+    np.remainder is several times slower on large arrays.  For |x| < 2^53,
+    x times the rounded 1/p is within 2/p of x/p, so its floor q is off by
+    at most one from the floor quotient, and p*q exceeds x by at most 1
+    when it exceeds it at all: below 2^53, exact.  Near -2^53, p*q can fall
+    below -2^53, where float64 integers are no longer exact, so q is raised
+    to at least -((2^53 - 1) // p), which is still within one of the floor
+    quotient.  Then x - p*q lies in [-p, 2p), and one masked add and one
+    masked subtract bring it into [0, p).
+
+    Those are nine numpy calls.  Below _SMALL_REMAINDER entries the one
+    call to np.remainder costs less, and it is exact too: it is fmod,
+    which is exact, plus p when that is negative.
     """
+    if x.size < _SMALL_REMAINDER:
+        np.remainder(x, p, out=x)
+        return
     q = x * (1.0 / p)
     np.floor(q, out=q)
     low = -float((2**53 - 1) // p)
@@ -91,6 +113,82 @@ def _remainder(x: np.ndarray, p: int) -> None:
     x -= q
     np.add(x, p, out=x, where=x < 0)
     np.subtract(x, p, out=x, where=x >= p)
+
+
+# Rows the rref recursion hands to its Gauss-Jordan base case at most.
+# Measured in CPU seconds, median of 8 to 10 interleaved rounds, over the
+# oracle blocks of the 40 localize_p3n3 jobs (seed 0) and the quotients of
+# phi-verify (7,2,5), (5,2,6) and (3,3,4): 8 rows took 0.49 and 0.50 s,
+# 4 rows 0.48 and 0.51 s, 16 rows 0.54 and 0.57 s, 32 rows 0.56 and 0.65 s.
+_BASE_ROWS = 8
+# bounds the temporaries of in-place products and back-reduction
+_SLAB_ROWS = 64
+
+
+def rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced echelon rows of the span of rows, and their pivot columns.
+
+    rows is a 2-d float64 array of integers in [0, p) with
+    rows.shape[1]*(p-1)^2 < 2^53.  It is overwritten, and the result is its
+    first len(pivots) rows: the i-th has its leading 1 at pivots[i] and
+    vanishes at every other pivot.  Rows come in the order their pivots
+    were found, not sorted by column.  The top half is eliminated first; the
+    bottom half is reduced against it with one product, its nonzero rows
+    are moved up beside it and eliminated in turn, and the top half is then
+    reduced against the bottom half's new pivots.
+    """
+    if len(rows) <= _BASE_ROWS:
+        return _gauss_jordan(rows, p)
+    half = len(rows) // 2
+    top, top_pivots = rref(rows[:half], p)
+    rest = rows[half:]
+    if top_pivots:
+        _reduce(rest, top_pivots, top, p)
+    keep = rest.any(axis=1)
+    start = len(top_pivots)
+    if start < half or not keep.all():
+        rest = rest[keep]
+        rows[start : start + len(rest)] = rest
+    low, low_pivots = rref(rows[start : start + len(rest)], p)
+    if top_pivots and low_pivots:
+        _reduce(top, low_pivots, low, p)
+    return rows[: start + len(low_pivots)], top_pivots + low_pivots
+
+
+def _gauss_jordan(block: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """rref of a few rows, pivoting on one row at a time.
+
+    Row i, with leading entry a at column c, becomes row i / a, and every
+    other row j loses block[j, c] / a times row i: both are
+    block -= f (outer) row i, with f_j = block[j, c] / a and f_i = 1 - 1/a,
+    followed by one reduction mod p.  The columns left of c are zero in
+    row i and are skipped."""
+    found: list[int] = []
+    pivots: list[int] = []
+    for i in range(len(block)):
+        lead = int((block[i] != 0).argmax())
+        if block[i, lead] == 0:
+            continue
+        inv = inverse_mod(int(block[i, lead]), p)
+        factor = block[:, lead] * inv
+        _remainder(factor, p)
+        factor[i] = (1 - inv) % p
+        part = block[:, lead:]
+        part -= factor[:, None] * part[i]
+        _remainder(part, p)
+        found.append(i)
+        pivots.append(lead)
+    if found != list(range(len(found))):
+        block[: len(found)] = block[found]
+    return block[: len(found)], pivots
+
+
+def _reduce(rows: np.ndarray, pivots, basis: np.ndarray, p: int) -> None:
+    """rows -= rows[:, pivots] @ basis (mod p), in place."""
+    for s in range(0, len(rows), _SLAB_ROWS):
+        part = rows[s : s + _SLAB_ROWS]
+        part -= part[:, pivots] @ basis
+        _remainder(part, p)
 
 
 class RrefBasis:
@@ -104,16 +202,15 @@ class RrefBasis:
     than rows*rank*width.  Every intermediate is an integer of magnitude at
     most ncols*(p-1)^2, which float64 holds exactly while that stays below
     2^53; the constructor refuses larger shapes.  The rows that survive are
-    brought to reduced echelon form by a recursive Gauss-Jordan whose steps
-    are BLAS products, and only the basis rows with a nonzero at one of the
-    new pivots are back-reduced.
+    brought to reduced echelon form by rref, the module's one elimination
+    kernel, and only the basis rows with a nonzero at one of the new pivots
+    are back-reduced.
 
-    The reduced echelon form of a row space is unique, so rank and pivot
-    columns depend only on the rows fed, not on their order or on how they
-    are split into chunks: they agree with RowReducer's.
+    The reduced echelon form of a row space is unique, so rank, pivot
+    columns and basis rows depend only on the rows fed, not on their order
+    or on how they are split into chunks: they are those of rref applied to
+    all the rows at once.
     """
-
-    _SLAB_ROWS = 64  # bounds the temporaries of in-place products and back-reduction
 
     def __init__(self, ncols: int, p: int):
         if ncols < 0:
@@ -167,15 +264,16 @@ class RrefBasis:
         block[rows, cols] = vals
         if r:
             self._reduce_entries(block, rows, cols, vals)
-        new_rows, new_pivots = self._rref(block[block.any(axis=1)])
+        keep = block.any(axis=1)
+        new_rows, new_pivots = rref(block if keep.all() else block[keep], self.p)
         k = len(new_pivots)
         if k == 0:
             return 0
         touched = np.flatnonzero(self._rows[:r, new_pivots].any(axis=1))
-        for s in range(0, len(touched), self._SLAB_ROWS):
-            at = touched[s : s + self._SLAB_ROWS]
+        for s in range(0, len(touched), _SLAB_ROWS):
+            at = touched[s : s + _SLAB_ROWS]
             part = self._rows[at]
-            self._reduce(part, new_pivots, new_rows)
+            _reduce(part, new_pivots, new_rows, self.p)
             self._rows[at] = part
         self._rows[r : r + k] = new_rows
         self._slot[new_pivots] = np.arange(r, r + k)
@@ -199,31 +297,3 @@ class RrefBasis:
             at = nth == k
             block[rows[at]] -= vals[at, None] * self._rows[slot[at]]
         _remainder(block, self.p)
-
-    def _reduce(self, rows: np.ndarray, pivots, basis: np.ndarray) -> None:
-        """rows -= rows[:, pivots] @ basis (mod p), in place."""
-        for s in range(0, len(rows), self._SLAB_ROWS):
-            part = rows[s : s + self._SLAB_ROWS]
-            part -= part[:, pivots] @ basis
-            _remainder(part, self.p)
-
-    def _rref(self, rows: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Reduced echelon rows and their pivots for nonzero rows that
-        already vanish on the basis pivots."""
-        if len(rows) == 0:
-            return rows, []
-        if len(rows) == 1:
-            row = rows[0]
-            lead = int(np.flatnonzero(row)[0])
-            row = row * inverse_mod(int(row[lead]), self.p)
-            _remainder(row, self.p)
-            return row[None, :], [lead]
-        half = len(rows) // 2
-        top, top_pivots = self._rref(rows[:half])
-        rest = rows[half:]
-        self._reduce(rest, top_pivots, top)
-        low, low_pivots = self._rref(rest[rest.any(axis=1)])
-        if not low_pivots:
-            return top, top_pivots
-        self._reduce(top, low_pivots, low)
-        return np.concatenate([top, low]), top_pivots + low_pivots

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .charspace import Character, GroupContext, Line, canonicalize
-from .modp import RowReducer, inverse_mod
+from .modp import _SLAB_ROWS, RowReducer, _remainder, inverse_mod, rref
 from .superalg import SuperElement, SuperMonomial, free_monomials, merge_odd
 
 XKey = tuple[int, ...]
@@ -247,8 +247,15 @@ def span_rank(ms: Sequence[SuperMonomial], weight: int, ctx: GroupContext) -> in
     omega the wedge of its dz's, and is expanded as a dense row over the
     degree-D x-monomials times the k-subsets of the dx's.  The scalar, which
     Character keys bring in, is a unit and is left out: scaling a row by a
-    unit does not change the rank.
+    unit does not change the rank.  Each block is eliminated whole by
+    modp.rref, the kernel the presentation route uses too, or by the exact
+    integer RowReducer when its width*(p-1)^2 reaches 2^53.
     """
+    return sum(_rows_rank(_block_rows(block, ctx), ctx.p) for block in _blocks(ms, weight, ctx))
+
+
+def _blocks(ms: Sequence[SuperMonomial], weight: int, ctx: GroupContext) -> list[list]:
+    """The _monomial_data triples of ms, one list per dx-degree."""
     if ctx.n * (ctx.p - 1) ** 2 >= 2**63:
         raise ValueError(
             "n*(p-1)^2 = %d is not below 2^63: int64 products of linear forms "
@@ -260,11 +267,14 @@ def span_rank(ms: Sequence[SuperMonomial], weight: int, ctx: GroupContext) -> in
             raise ValueError("monomial %s has weight %d, expected %d" % (m, m.weight, weight))
         data = _monomial_data(m, ctx)
         blocks.setdefault(len(data[2]), []).append(data)
-    return sum(_block_rank(block, ctx) for block in blocks.values())
+    return list(blocks.values())
 
 
-def _block_rank(block: list, ctx: GroupContext) -> int:
-    """Rank of one dx-degree block of _monomial_data triples."""
+def _block_rows(block: list, ctx: GroupContext) -> np.ndarray:
+    """The cleared numerators P (x) omega of one dx-degree block of
+    _monomial_data triples, as rows with entries in [0, p), all-zero rows
+    left out.  They are float64, ready for rref, when width*(p-1)^2 < 2^53,
+    and int64 otherwise."""
     p = ctx.p
     top: dict[Line, int] = {}
     for denom, _, _ in block:
@@ -292,7 +302,30 @@ def _block_rank(block: list, ctx: GroupContext) -> int:
         [_omega(tuple(line.rep.coords for line in u_lines), p, ctx.n) for u_lines in omega_of],
         dtype=np.int64,
     )
-    rows = (polys[p_idx][:, :, None] * omegas[omega_idx][:, None, :] % p).reshape(len(block), -1)
+    # omega is 0 for u's on two multiples of one line, and P never is
+    live = omegas.any(axis=1)[omega_idx]
+    p_idx, omega_idx = np.asarray(p_idx)[live], np.asarray(omega_idx)[live]
+    width = polys.shape[1] * omegas.shape[1]
+    if width * (p - 1) ** 2 >= 2**53:
+        return (polys[p_idx][:, :, None] * omegas[omega_idx][:, None, :] % p).reshape(-1, width)
+    # Products of two residues are below p^2, so exact in float64; the
+    # rows are built a slab at a time, which bounds the temporaries.
+    polys, omegas = polys.astype(np.float64), omegas.astype(np.float64)
+    rows = np.empty((len(p_idx), width))
+    for s in range(0, len(rows), _SLAB_ROWS):
+        at = slice(s, s + _SLAB_ROWS)
+        part = rows[at]
+        np.multiply(polys[p_idx[at]][:, :, None], omegas[omega_idx[at]][:, None, :],
+                    out=part.reshape(len(part), polys.shape[1], omegas.shape[1]))
+        _remainder(part, p)
+    return rows
+
+
+def _rows_rank(rows: np.ndarray, p: int) -> int:
+    """Rank of _block_rows' rows: by rref when they are float64, exactly
+    by RowReducer when they are int64."""
+    if rows.dtype == np.float64:
+        return len(rref(rows, p)[1])
     red = RowReducer(rows.shape[1], p)
     for row in rows:
         red.add_row(row)

@@ -23,12 +23,12 @@ from phiring.charspace import (
     is_echelon,
     line_of,
     subset_rank_count,
-    subset_rank_count_bruteforce,
 )
 from phiring.oracle import relation_image
 from phiring.phi import build_phi_presentation, closed_form_series, verify_phi
 from phiring.rograde import localized_hilbert, multidegree, ro_dimension
 from phiring.ssq import e1_dim, e2_dim, e2_total
+from subset_rank_reference import subset_rank_count_bruteforce
 
 
 def report(num: int, description: str, passed: bool, elapsed: float) -> None:

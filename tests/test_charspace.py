@@ -22,11 +22,11 @@ from phiring.charspace import (
     line_of,
     rank_of,
     subset_rank_count,
-    subset_rank_count_bruteforce,
     zero_sum_triples,
     _solve_zero_sum,
 )
 from phiring.rograde import irrep_label
+from subset_rank_reference import subset_rank_count_bruteforce
 
 
 def C(*coords):

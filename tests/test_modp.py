@@ -5,21 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phiring.modp import RowReducer, RrefBasis, _remainder
+from phiring.modp import _BASE_ROWS, _SMALL_REMAINDER, RowReducer, RrefBasis, _remainder, rref
 
 
-@st.composite
-def sparse_matrices(draw):
-    """A random matrix mod p as a list of {column: coefficient} rows, split
-    into chunks.  Zero rows, duplicated and scaled rows, rows with up to
-    ncols nonzeros and fully dense rows are mixed in.  The rows may come
-    sorted by leading column, rightmost first, so that later chunks place
-    pivots left of earlier ones; or a full-rank chunk may come first, so
-    that the basis is complete before the last chunk."""
-    p = draw(st.sampled_from([3, 5, 7, 11]))
-    ncols = draw(st.integers(1, 24))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    nrows = draw(st.integers(0, 3 * ncols))  # often more rows than columns
+def random_rows(rng, p, ncols, nrows):
+    """nrows random {column: coefficient} rows mod p.  Zero rows, duplicated
+    and scaled rows, rows with up to ncols nonzeros and fully dense rows are
+    mixed in."""
     rows = []
     for _ in range(nrows):
         kind = rng.random()
@@ -35,6 +27,21 @@ def sparse_matrices(draw):
         else:
             nnz = rng.randint(1, ncols)
             rows.append({c: rng.randrange(1, p) for c in rng.sample(range(ncols), nnz)})
+    return rows
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A random matrix mod p as a list of {column: coefficient} rows (see
+    random_rows), split into chunks.  The rows may come sorted by leading
+    column, rightmost first, so that later chunks place pivots left of
+    earlier ones; or a full-rank chunk may come first, so that the basis is
+    complete before the last chunk."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    ncols = draw(st.integers(1, 24))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    nrows = draw(st.integers(0, 3 * ncols))  # often more rows than columns
+    rows = random_rows(rng, p, ncols, nrows)
     order = draw(st.sampled_from(["drawn", "leads_descending", "full_rank_first"]))
     if order == "leads_descending":
         rows.sort(key=lambda row: min(row, default=-1), reverse=True)
@@ -142,6 +149,58 @@ class TestRrefBasisAgainstRowReducer:
         assert np.array_equal(kernel_rref(kernel)[0], np.eye(3))
 
 
+@st.composite
+def dense_blocks(draw):
+    """A random block mod p of 1 to 5 base cases' worth of rows (see
+    random_rows), as {column: coefficient} rows; narrow blocks have more
+    rows than columns."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    ncols = draw(st.integers(1, 40))
+    nrows = draw(st.integers(1, 5 * _BASE_ROWS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return p, ncols, random_rows(rng, p, ncols, nrows)
+
+
+def dense(rows, ncols):
+    return np.array([[row.get(c, 0) for c in range(ncols)] for row in rows], dtype=np.float64)
+
+
+def sorted_rref(rows, pivots):
+    """rref's rows in pivot-column order, as Python integers."""
+    order = np.argsort(pivots, kind="stable")
+    return rows[order].astype(np.int64).tolist()
+
+
+class TestRrefAgainstReferences:
+    @given(dense_blocks())
+    def test_rank_pivots_and_rows_match(self, case):
+        p, ncols, rows = case
+        ref = RowReducer(ncols, p)
+        for row in rows:
+            ref.add_row(row.items())
+        out, pivots = rref(dense(rows, ncols), p)
+        assert len(pivots) == len(out) == ref.rank
+        assert tuple(sorted(pivots)) == ref.pivot_columns
+        assert sorted_rref(out, pivots) == reference_rref(rows, ncols, p)
+
+    @pytest.mark.parametrize("nrows", [1, _BASE_ROWS, _BASE_ROWS + 1, 4 * _BASE_ROWS + 3])
+    def test_zero_duplicate_and_scaled_rows(self, nrows):
+        p, ncols = 7, 5
+        rng = random.Random(nrows)
+        first = {c: rng.randrange(1, p) for c in range(ncols)}
+        rows = [{}, first] + [{c: 3 * v % p for c, v in first.items()}, dict(first)] * nrows
+        rows = rows[:nrows]
+        out, pivots = rref(dense(rows, ncols), p)
+        assert sorted_rref(out, pivots) == reference_rref(rows, ncols, p)
+        assert len(pivots) == (0 if nrows == 1 else 1)
+
+    def test_empty_and_all_zero_blocks(self):
+        out, pivots = rref(np.zeros((0, 4)), 5)
+        assert out.shape == (0, 4) and pivots == []
+        out, pivots = rref(np.zeros((3 * _BASE_ROWS, 4)), 5)
+        assert out.shape == (0, 4) and pivots == []
+
+
 class TestRrefBasisChecks:
     def test_float64_exactness_limit(self):
         p = 3
@@ -196,3 +255,17 @@ def test_remainder_is_exact_on_2d_chunks_near_2_53(p):
     x = np.array(values, dtype=np.float64).reshape(8, -1)
     _remainder(x, p)
     assert x.ravel().tolist() == [v % p for v in values]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 2**26 + 15])
+def test_remainder_is_exact_on_both_paths(p):
+    # np.remainder below _SMALL_REMAINDER entries, the floor quotient above
+    top = (2**53 - 1) // p
+    values = [sign * (k * p + d) for sign in (1, -1) for k in (0, 1, top - 1, top)
+              for d in (-1, 0, 1)]
+    values = [v for v in values if abs(v) < 2**53] + [2**53 - 1, -(2**53) + 1]
+    for size in (_SMALL_REMAINDER - 1, _SMALL_REMAINDER, 4 * _SMALL_REMAINDER):
+        tiled = (values * size)[:size]
+        x = np.array(tiled, dtype=np.float64)
+        _remainder(x, p)
+        assert x.tolist() == [v % p for v in tiled]

@@ -1,10 +1,11 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from phiring import rograde
+from phiring import oracle, rograde
 from phiring.charspace import Character, GroupContext, Line, enumerate_lines, line_of
 from phiring.modp import RowReducer
 from phiring.oracle import (
@@ -21,6 +22,10 @@ from phiring.oracle import (
 from phiring.phi import build_phi_presentation, relation_families
 from phiring.superalg import SuperElement, SuperMonomial, free_monomials
 from ro_reference import ro_words
+
+
+def is_prime(m):
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
 
 CTX32 = GroupContext(3, 2)
 LINES32 = enumerate_lines(CTX32)
@@ -262,6 +267,37 @@ class TestSpanRankAgainstReference:
         for w in range(5):
             ms = free_monomials(keys, w)
             assert span_rank(ms, w, ctx) == reference_span_rank(ms, ctx)
+
+    def test_float64_bound_picks_the_path(self, monkeypatch):
+        # The weight-4 t-monomials on three lines of the plane form one
+        # block of width 5 (quartics in x1, x2).  Below 5*(p-1)^2 = 2^53 it
+        # goes through rref, at or above it through the exact RowReducer.
+        calls = []
+        real_rref = oracle.rref
+
+        def spy_rref(rows, p):
+            calls.append(("rref", rows.shape[1]))
+            return real_rref(rows, p)
+
+        class SpyReducer(RowReducer):
+            def __init__(self, ncols, p):
+                calls.append(("RowReducer", ncols))
+                super().__init__(ncols, p)
+
+        monkeypatch.setattr(oracle, "rref", spy_rref)
+        monkeypatch.setattr(oracle, "RowReducer", SpyReducer)
+        width = 5
+        edge = isqrt(2**53 // width) + 1  # least p - 1 with width*(p-1)^2 >= 2^53
+        below = next(p for p in range(edge, 2, -1) if is_prime(p))
+        above = next(p for p in range(edge + 1, 2 * edge) if is_prime(p))
+        assert width * (below - 1) ** 2 < 2**53 <= width * (above - 1) ** 2
+        for p, path in [(below, "rref"), (above, "RowReducer")]:
+            ctx = GroupContext(p, 2)
+            keys = sorted(Line(Character(c)) for c in [(1, 0), (0, 1), (1, 1)])
+            ms = [m for m in free_monomials(keys, 4) if not m.u_set]
+            calls.clear()
+            assert span_rank(ms, 4, ctx) == reference_span_rank(ms, ctx) == 5
+            assert calls == [(path, width)]
 
     def test_prime_too_large_for_int64_rejected(self):
         ctx = GroupContext(2147483659, 2)  # 2*(p-1)^2 >= 2^63

@@ -38,17 +38,40 @@ def test_arrangement_scan_runs():
 
 
 def test_bench_writes_its_report(tmp_path):
-    proc = run_script("bench.py", "--label", "smoke", "--jobs", "3,2,3", "--repeat", "2",
-                      "--out-dir", str(tmp_path))
+    localize = "localize --p 3 --n 3 --cutoff 6 --sample 2 --sample-max-size 6"
+    ro_table = "ro-table --p 3 --n 3 --max-mult 2 --k-max 4"
+    proc = run_script("bench.py", "--label", "smoke", "--jobs", "3,2,3", localize, ro_table,
+                      "--repeat", "2", "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     report = json.loads((tmp_path / "BENCH_smoke.json").read_text(encoding="utf-8"))
-    (job,) = report["jobs"]
+    job, lz, rt = report["jobs"]
     assert job["job"] == "phi-verify --p 3 --n 2 --cutoff 3"
     assert job["exit"] == [0] and len(job["wall_s"]) == 2 and len(job["stdout_sha256"]) == 1
     weights = job["weights"]
     assert [w["weight"] for w in weights] == [0, 1, 2, 3]
     assert [w["presentation_dim"] for w in weights] == [w["oracle_dim"] for w in weights] == [1, 4, 7, 10]
     assert all(w["presentation_s"] >= 0 and w["oracle_s"] >= 0 for w in weights)
+    # each figure is rounded to 0.1 ms
+    assert all(0 <= w["oracle_rows_s"] + w["oracle_elim_s"] <= w["oracle_s"] + 2e-4 for w in weights)
+    # command lines run end to end only, with the same output on each run
+    assert (lz["job"], rt["job"]) == (localize, ro_table)
+    for other in (lz, rt):
+        assert len(other["wall_s"]) == 2 and len(other["stdout_sha256"]) == 1
+        assert "weights" not in other
+    assert set(lz["exit"]) <= {0, 1} and rt["exit"] == [0]
+
+
+def test_bench_defaults_cover_localize_and_ro_table():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    commands = [bench.parse_job(text)[0][:7] for text in bench.DEFAULT_JOBS]
+    assert ["localize", "--p", "3", "--n", "3", "--cutoff", "6"] in commands
+    assert ["ro-table", "--p", "3", "--n", "3", "--max-mult", "4"] in commands
+    assert bench.parse_job("3,3,5") == (
+        ["phi-verify", "--p", "3", "--n", "3", "--cutoff", "5"], (3, 3, 5))
 
 
 @pytest.mark.parametrize(
