@@ -78,7 +78,7 @@ def run(argv):
 def layers(p, n, cutoff):
     """Per-weight timings of both routes, as a JSON-ready dict."""
     from phiring.charspace import GroupContext, enumerate_lines
-    from phiring.oracle import _block_rows, _blocks, _rows_rank
+    from phiring.oracle import span_rank
     from phiring.phi import build_phi_presentation
     from phiring.superalg import free_monomials, quotient_dimension
 
@@ -93,17 +93,9 @@ def layers(p, n, cutoff):
         start = time.perf_counter()
         pres_dim = quotient_dimension(pres, w)
         pres_s = time.perf_counter() - start
-        # span_rank, one dx-degree block at a time
-        rows_s = elim_s = 0.0
-        oracle_dim = 0
+        times = {"rows_s": 0.0, "elim_s": 0.0}
         start = time.perf_counter()
-        for block in _blocks(monomials, w, ctx):
-            t0 = time.perf_counter()
-            rows = _block_rows(block, ctx)
-            t1 = time.perf_counter()
-            oracle_dim += _rows_rank(rows, p)
-            rows_s += t1 - t0
-            elim_s += time.perf_counter() - t1
+        oracle_dim = span_rank(monomials, w, ctx, times)
         oracle_s = time.perf_counter() - start
         weights.append({
             "weight": w,
@@ -111,8 +103,8 @@ def layers(p, n, cutoff):
             "presentation_s": round(pres_s, 4),
             "presentation_dim": pres_dim,
             "oracle_s": round(oracle_s, 4),
-            "oracle_rows_s": round(rows_s, 4),
-            "oracle_elim_s": round(elim_s, 4),
+            "oracle_rows_s": round(times["rows_s"], 4),
+            "oracle_elim_s": round(times["elim_s"], 4),
             "oracle_dim": oracle_dim,
         })
     return {"build_s": round(build_s, 4), "weights": weights}

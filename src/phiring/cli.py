@@ -16,7 +16,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from . import charspace, oracle, phi, rograde, ssq, superalg
 from .charspace import Character, GroupContext
@@ -415,10 +415,7 @@ def run(config: JobConfig) -> tuple[int, str]:
     return (0 if ok else 1), text
 
 
-@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: parsing leaves it unchanged, and a
-    batch of jobs would otherwise rebuild its ~80 arguments for each."""
     parser = argparse.ArgumentParser(
         prog="phiring",
         description="Exact coefficient-ring tables for (Z/p)^n-equivariant cohomology",

@@ -366,38 +366,6 @@ class TestPhiBasisGolden:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-class TestParserBuiltOnce:
-    JOBS = [
-        ["phi-verify", "--p", "3", "--n", "3", "--cutoff", "5", "--format", "json"],
-        ["localize", "--p", "3", "--n", "3", "--cutoff", "4", "--sample", "20", "--seed", "5"],
-        ["ro-table", "--p", "3", "--n", "3", "--max-mult", "4", "--k-max", "8"],
-    ]
-
-    def test_jobs_in_a_row_match_a_fresh_parser(self):
-        in_a_row = [cli.config_from_args(argv) for argv in self.JOBS]
-        assert cli._build_parser() is cli._build_parser()
-        for argv, config in zip(self.JOBS, in_a_row):
-            cli._build_parser.cache_clear()
-            assert cli.config_from_args(argv) == config
-        assert [c.command for c in in_a_row] == ["phi-verify", "localize", "ro-table"]
-        assert in_a_row[1].sample == 20 and in_a_row[1].fmt == "csv"
-        assert in_a_row[2].k_max == 8 and in_a_row[2].sample is None
-
-    def test_help_and_usage_errors_after_reuse(self, capsys):
-        cli.config_from_args(self.JOBS[0])
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["phi-verify", "--help"])
-        assert exc.value.code == 0
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["phi-verify", "--cutoff", "x"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["no-such-command"])
-        assert exc.value.code == 2
-        assert cli.config_from_args(self.JOBS[1]).sample == 20
-        capsys.readouterr()
-
-
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -304,6 +304,18 @@ class TestSpanRankAgainstReference:
         with pytest.raises(ValueError, match="2\\^63"):
             span_rank([SuperMonomial.t(Line(Character((1, 0))))], 2, ctx)
 
+    def test_times_accumulate_over_calls(self):
+        ctx = GroupContext(3, 2)
+        keys = sorted(enumerate_lines(ctx))
+        times = {}
+        for w in range(5):
+            ms = free_monomials(keys, w)
+            assert span_rank(ms, w, ctx, times) == span_rank(ms, w, ctx)
+        first = dict(times)
+        assert set(first) == {"rows_s", "elim_s"} and min(first.values()) > 0
+        span_rank(free_monomials(keys, 4), 4, ctx, times)
+        assert all(times[key] > first[key] for key in first)
+
 
 class TestSubringHilbert:
     def test_rank_one_all_ones(self):
