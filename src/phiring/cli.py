@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 
-from . import charspace, oracle, phi, rograde, ssq, superalg
+from . import charspace, modp, oracle, phi, rograde, ssq, superalg
 from .charspace import Character, GroupContext
 
 BUDGET_ENV = "PHIRING_COLUMN_BUDGET"
@@ -80,21 +80,27 @@ def _require_cutoff(config: JobConfig) -> int:
 
 def _check_budget(num_gens: int, weight: int, ctx: GroupContext, config: JobConfig) -> None:
     """Refuse, before any work, a job whose matrices exceed the column budget
-    or whose prime is too large for exact elimination: float64 rows of up to
-    `estimate` columns are exact while estimate*(p-1)^2 < 2^53, and the
-    oracle's int64 products of linear forms while n*(p-1)^2 < 2^63."""
+    or whose prime is too large for exact elimination.  The presentation's
+    blocks have at most `estimate` columns and the oracle's at most
+    `estimate` rows, so modp.check_exact for that many terms, the one float64
+    bound, covers all the job's elimination; the oracle's int64 products of
+    linear forms are exact while n*(p-1)^2 < 2^63."""
     estimate = superalg.free_monomial_count(num_gens, weight)
     if estimate > config.column_budget:
         raise UsageError(
             "cutoff too large: weight %d needs ~%d matrix columns, budget is %d "
             "(raise %s to override)" % (weight, estimate, config.column_budget, BUDGET_ENV)
         )
-    square = (ctx.p - 1) ** 2
-    if estimate * square >= 2**53 or ctx.n * square >= 2**63:
-        raise UsageError(
-            "p = %d is too large for exact elimination at weight %d (~%d columns)"
-            % (ctx.p, weight, estimate)
-        )
+    refusal = UsageError(
+        "p = %d is too large for exact elimination at weight %d (~%d columns)"
+        % (ctx.p, weight, estimate)
+    )
+    try:
+        modp.check_exact(estimate, ctx.p)
+    except ValueError:
+        raise refusal from None
+    if ctx.n * (ctx.p - 1) ** 2 >= 2**63:
+        raise refusal
 
 
 def _parse_character(text: str, ctx: GroupContext, flag: str) -> Character:

@@ -2,12 +2,14 @@
 
 One elimination kernel serves both routes that eliminate: rref brings a
 dense float64 block to reduced echelon form, recursively, down to a
-Gauss-Jordan base case of at most _BASE_ROWS rows.  Its entries stay
-integers of magnitude at most width*(p-1)^2, exact in float64 below 2^53.
-RrefBasis feeds it the presentation's Macaulay rows, chunk by chunk; the
-oracle feeds it each dx-degree block whole.  Above 2^53 the oracle falls
-back to RowReducer, exact integer elimination, which the tests also use as
-the reference.
+Gauss-Jordan base case of at most _BASE_ROWS rows.  RrefBasis feeds it the
+presentation's Macaulay rows, chunk by chunk; the oracle feeds it each
+dx-degree block whole.  There is one float64 path, with one bound: every
+entry stays an integer of magnitude below 2^53, where float64 is exact, as
+long as terms*(p-1)^2 + p < 2^53 for the number of products an entry
+gathers.  check_exact states that bound, and rref and RrefBasis refuse
+shapes past it with ValueError.  RowReducer, exact integer elimination one
+row at a time, is kept as the reference the tests compare rref with.
 
 Everything here is deterministic: pivot columns are always chosen leftmost,
 so the pivot-column set of a row collection depends only on its row space,
@@ -19,6 +21,17 @@ from __future__ import annotations
 from typing import Iterable
 
 import numpy as np
+
+
+def check_exact(terms: int, p: int) -> None:
+    """Raise ValueError unless float64 elimination mod p is exact when an
+    entry gathers at most terms products of two residues, that is unless
+    terms*(p-1)^2 + p < 2^53.  rref derives the bound."""
+    if terms * (p - 1) ** 2 + p >= 2**53:
+        raise ValueError(
+            "%d*(p-1)^2 + p is not below 2^53 for p = %d: float64 elimination "
+            "would not be exact" % (terms, p)
+        )
 
 
 def inverse_mod(a: int, p: int) -> int:
@@ -128,15 +141,25 @@ _SLAB_ROWS = 64
 def rref(rows: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced echelon rows of the span of rows, and their pivot columns.
 
-    rows is a 2-d float64 array of integers in [0, p) with
-    rows.shape[1]*(p-1)^2 < 2^53.  It is overwritten, and the result is its
-    first len(pivots) rows: the i-th has its leading 1 at pivots[i] and
-    vanishes at every other pivot.  Rows come in the order their pivots
-    were found, not sorted by column.  The top half is eliminated first; the
-    bottom half is reduced against it with one product, its nonzero rows
-    are moved up beside it and eliminated in turn, and the top half is then
-    reduced against the bottom half's new pivots.
+    rows is a 2-d float64 array of integers in [0, p).  It is overwritten,
+    and the result is its first len(pivots) rows: the i-th has its leading
+    1 at pivots[i] and vanishes at every other pivot.  Rows come in the
+    order their pivots were found, not sorted by column.  The top half is
+    eliminated first; the bottom half is reduced against it with one
+    product, its nonzero rows are moved up beside it and eliminated in
+    turn, and the top half is then reduced against the bottom half's new
+    pivots.
+
+    The bound: a row is only ever reduced against pivots found so far, and
+    there are at most k = min(rows, width) of them.  So every entry formed
+    is a residue minus a sum of at most k products of two residues, an
+    integer in [-k*(p-1)^2, p), and every partial sum of the products, in
+    whatever order BLAS adds them, is an integer in [0, k*(p-1)^2].  The
+    bound k*(p-1)^2 + p < 2^53 keeps all of them, with a margin of p, where
+    float64 holds every integer and _remainder is exact; check_exact raises
+    ValueError past it.
     """
+    check_exact(min(rows.shape), p)
     if len(rows) <= _BASE_ROWS:
         return _gauss_jordan(rows, p)
     half = len(rows) // 2
@@ -199,9 +222,10 @@ class RrefBasis:
     entries and is scattered into a dense block; each entry that sits at a
     pivot column then subtracts its value times that column's basis row, so
     the reduction against the basis costs nnz*width multiply-adds rather
-    than rows*rank*width.  Every intermediate is an integer of magnitude at
-    most ncols*(p-1)^2, which float64 holds exactly while that stays below
-    2^53; the constructor refuses larger shapes.  The rows that survive are
+    than rows*rank*width.  A row meets at most ncols pivots, so every entry
+    gathers at most ncols products of two residues, and the constructor
+    checks the module's one float64 bound, check_exact, for ncols terms: it
+    also covers rref on any chunk.  The rows that survive are
     brought to reduced echelon form by rref, the module's one elimination
     kernel, and only the basis rows with a nonzero at one of the new pivots
     are back-reduced.
@@ -215,11 +239,7 @@ class RrefBasis:
     def __init__(self, ncols: int, p: int):
         if ncols < 0:
             raise ValueError("ncols must be nonnegative")
-        if ncols * (p - 1) ** 2 >= 2**53:
-            raise ValueError(
-                "ncols*(p-1)^2 = %d is not below 2^53: float64 elimination "
-                "would not be exact" % (ncols * (p - 1) ** 2)
-            )
+        check_exact(ncols, p)
         self.ncols = ncols
         self.p = p
         # Room for the largest possible rank; np.zeros leaves the pages of

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .charspace import Character, GroupContext, Line, canonicalize
-from .modp import _SLAB_ROWS, RowReducer, _remainder, inverse_mod, rref
+from .modp import _SLAB_ROWS, _remainder, inverse_mod, rref
 from .superalg import SuperElement, SuperMonomial, free_monomials, merge_odd
 
 XKey = tuple[int, ...]
@@ -251,8 +251,8 @@ def span_rank(
     degree-D x-monomials times the k-subsets of the dx's.  The scalar, which
     Character keys bring in, is a unit and is left out: scaling a row by a
     unit does not change the rank.  Each block is eliminated whole by
-    modp.rref, the kernel the presentation route uses too, or by the exact
-    integer RowReducer when its width*(p-1)^2 reaches 2^53.
+    modp.rref, the kernel the presentation route uses too, on the one
+    float64 path: rref checks its own bound and raises ValueError past it.
 
     When times is a dict, the seconds spent building the blocks' rows and
     eliminating them are added to times["rows_s"] and times["elim_s"].
@@ -262,7 +262,7 @@ def span_rank(
         start = time.perf_counter()
         rows = _block_rows(block, ctx)
         built = time.perf_counter()
-        rank += _rows_rank(rows, ctx.p)
+        rank += len(rref(rows, ctx.p)[1])
         if times is not None:
             times["rows_s"] = times.get("rows_s", 0.0) + built - start
             times["elim_s"] = times.get("elim_s", 0.0) + time.perf_counter() - built
@@ -287,9 +287,8 @@ def _blocks(ms: Sequence[SuperMonomial], weight: int, ctx: GroupContext) -> list
 
 def _block_rows(block: list, ctx: GroupContext) -> np.ndarray:
     """The cleared numerators P (x) omega of one dx-degree block of
-    _monomial_data triples, as rows with entries in [0, p), all-zero rows
-    left out.  They are float64, ready for rref, when width*(p-1)^2 < 2^53,
-    and int64 otherwise."""
+    _monomial_data triples, as float64 rows with entries in [0, p), ready
+    for rref; all-zero rows are left out."""
     p = ctx.p
     top: dict[Line, int] = {}
     for denom, _, _ in block:
@@ -321,10 +320,9 @@ def _block_rows(block: list, ctx: GroupContext) -> np.ndarray:
     live = omegas.any(axis=1)[omega_idx]
     p_idx, omega_idx = np.asarray(p_idx)[live], np.asarray(omega_idx)[live]
     width = polys.shape[1] * omegas.shape[1]
-    if width * (p - 1) ** 2 >= 2**53:
-        return (polys[p_idx][:, :, None] * omegas[omega_idx][:, None, :] % p).reshape(-1, width)
-    # Products of two residues are below p^2, so exact in float64; the
-    # rows are built a slab at a time, which bounds the temporaries.
+    # Products of two residues are at most (p-1)^2, exact in float64 for
+    # every p that rref accepts; the rows are built a slab at a time, which
+    # bounds the temporaries.
     polys, omegas = polys.astype(np.float64), omegas.astype(np.float64)
     rows = np.empty((len(p_idx), width))
     for s in range(0, len(rows), _SLAB_ROWS):
@@ -334,17 +332,6 @@ def _block_rows(block: list, ctx: GroupContext) -> np.ndarray:
                     out=part.reshape(len(part), polys.shape[1], omegas.shape[1]))
         _remainder(part, p)
     return rows
-
-
-def _rows_rank(rows: np.ndarray, p: int) -> int:
-    """Rank of _block_rows' rows: by rref when they are float64, exactly
-    by RowReducer when they are int64."""
-    if rows.dtype == np.float64:
-        return len(rref(rows, p)[1])
-    red = RowReducer(rows.shape[1], p)
-    for row in rows:
-        red.add_row(row)
-    return red.rank
 
 
 def _products(forms: np.ndarray, p: int) -> np.ndarray:

@@ -138,8 +138,12 @@ class TestUsageErrors:
             ["localize", "--p", "94906297", "--n", "2", "--cutoff", "3", "--lines", "1,0;0,1;1,1"],
             ["ro-dim", "--p", "94906297", "--n", "2", "--mult", "1,0:1;0,1:1", "--k", "3"],
             ["ro-table", "--p", "94906297", "--n", "2", "--max-mult", "1"],
-            # exact for the presentation, but 2*(p-1)^2 >= 2^63 for the oracle
+            # one column, but (p-1)^2 >= 2^53: the float64 bound refuses it first
             ["ro-dim", "--p", "2147483659", "--n", "2", "--mult", "1,0:1", "--k", "1"],
+            # one column and (p-1)^2 + p < 2^53, but n*(p-1)^2 >= 2^63: only
+            # the bound on the oracle's int64 products refuses it
+            ["localize", "--p", "94906249", "--n", "1025", "--cutoff", "0",
+             "--lines", ",".join(["1"] + ["0"] * 1024)],
         ],
     )
     def test_prime_too_large_for_exact_elimination_refused(self, argv):

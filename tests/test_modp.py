@@ -1,11 +1,20 @@
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phiring.modp import _BASE_ROWS, _SMALL_REMAINDER, RowReducer, RrefBasis, _remainder, rref
+from phiring.modp import (
+    _BASE_ROWS,
+    _SMALL_REMAINDER,
+    RowReducer,
+    RrefBasis,
+    _remainder,
+    check_exact,
+    rref,
+)
 
 
 def random_rows(rng, p, ncols, nrows):
@@ -199,6 +208,86 @@ class TestRrefAgainstReferences:
         assert out.shape == (0, 4) and pivots == []
         out, pivots = rref(np.zeros((3 * _BASE_ROWS, 4)), 5)
         assert out.shape == (0, 4) and pivots == []
+
+
+def is_prime(m):
+    return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+def largest_exact_prime(terms):
+    """The largest prime p with terms*(p-1)^2 + p < 2^53."""
+    p = isqrt(2**53 // terms) + 1
+    while terms * (p - 1) ** 2 + p >= 2**53 or not is_prime(p):
+        p -= 1
+    return p
+
+
+def reduced_reference(block, p):
+    """Pivot columns and reduced echelon rows, in pivot-column order, of an
+    int64 block: RowReducer's echelon rows, back-reduced in int64."""
+    ref = RowReducer(block.shape[1], p)
+    for row in block:
+        ref.add_row(row)
+    pivots = ref.pivot_columns
+    basis = [ref._pivot_rows[ref._pivot_of_col[c]] for c in pivots]
+    for i in reversed(range(len(basis))):
+        for j in range(i):
+            basis[j] = (basis[j] - int(basis[j][pivots[i]]) * basis[i]) % p
+    return pivots, [row.tolist() for row in basis]
+
+
+@st.composite
+def blocks_at_the_bound(draw):
+    """A dense int64 block of up to 40 rows and 4000 columns at the largest
+    prime rref accepts for its shape.  Wide, short blocks, whose
+    width*(p-1)^2 passes 2^53, are common.  Entries lie near p - 1, about
+    one in ten is zero, and with three rows or more the last row is a
+    combination of the first two."""
+    nrows = draw(st.integers(1, 40))
+    ncols = draw(st.one_of(st.integers(1, 60), st.integers(1000, 4000)))
+    p = largest_exact_prime(min(nrows, ncols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = p - 1 - rng.integers(0, 3, size=(nrows, ncols))
+    block[rng.random((nrows, ncols)) < 0.1] = 0
+    if nrows >= 3:
+        a, b = (int(x) for x in rng.integers(p - 3, p, size=2))
+        block[-1] = (a * block[0] % p + b * block[1] % p) % p
+    return p, block
+
+
+class TestRrefAtTheFloat64Bound:
+    @settings(max_examples=40)
+    @given(blocks_at_the_bound())
+    def test_matches_row_reducer(self, case):
+        p, block = case
+        pivots, basis = reduced_reference(block, p)
+        out, found = rref(block.astype(np.float64), p)
+        assert len(found) == len(out) == len(pivots)
+        assert tuple(sorted(found)) == pivots
+        assert sorted_rref(out, found) == basis
+
+    def test_bound_is_sharp(self):
+        rows = 6
+        p = largest_exact_prime(rows)
+        above = next(q for q in range(p + 1, 2 * p) if is_prime(q))
+        check_exact(rows, p)
+        with pytest.raises(ValueError, match="2\\^53"):
+            check_exact(rows, above)
+
+    def test_refuses_rather_than_returning_a_wrong_rank(self):
+        # At p = 2^31 - 1 float64 is not exact; this 6x6 block has rank 5.
+        p = 2**31 - 1
+        rng = np.random.default_rng(0)
+        left = rng.integers(0, p, size=(6, 5), dtype=np.int64)
+        right = rng.integers(0, p, size=(5, 6), dtype=np.int64)
+        block = np.array(
+            [[sum(int(a) * int(b) for a, b in zip(row, col)) % p for col in right.T]
+             for row in left],
+            dtype=np.int64,
+        )
+        assert len(reduced_reference(block, p)[0]) == 5
+        with pytest.raises(ValueError, match="2\\^53"):
+            rref(block.astype(np.float64), p)
 
 
 class TestRrefBasisChecks:

@@ -162,12 +162,14 @@ class TestSpanRank:
         assert span_rank([m, m], 2, CTX32) == 1
 
     def test_scalar_multiple_row_adds_nothing(self):
-        # unit rescaling of an embedded row cannot change the span
-        from phiring.modp import RowReducer
-
-        red = RowReducer(4, 5)
-        assert red.add_row([(0, 1), (2, 3)])
-        assert not red.add_row([(0, 2), (2, 6)])
+        # unit rescaling of an embedded row cannot change the span: over
+        # raw characters, t over 2*chi is t over chi times 1/2, and u over
+        # 2*chi is u over chi
+        ctx = GroupContext(5, 2)
+        chi = C(1, 2)
+        twice = chi.scaled(2, ctx.p)
+        assert span_rank([SuperMonomial.t(chi), SuperMonomial.t(twice)], 2, ctx) == 1
+        assert span_rank([SuperMonomial.u(chi), SuperMonomial.u(twice)], 1, ctx) == 1
 
     def test_inhomogeneous_rejected(self):
         ms = [SuperMonomial.t(LINES32[0]), SuperMonomial.u(LINES32[0])]
@@ -259,45 +261,44 @@ class TestSpanRankAgainstReference:
         expected = reference_span_rank(words, ctx) if words else 0
         assert rograde.ro_dimension(ctx, md) == expected
 
-    def test_exact_at_the_largest_admissible_prime(self):
-        # 2*(p-1)^2 < 2^63 for p = 2^31 - 1: int64 products must not wrap
+    def test_float64_bound_refuses_the_largest_int64_prime(self):
+        # 2*(p-1)^2 < 2^63 for p = 2^31 - 1, so the int64 products are
+        # exact, but (p-1)^2 + p >= 2^53: rref must refuse rather than
+        # return a wrong rank
         p = 2**31 - 1
         ctx = GroupContext(p, 2)
         keys = sorted(Line(Character(c)) for c in [(1, 0), (0, 1), (1, 1), (p - 2, 1)])
-        for w in range(5):
-            ms = free_monomials(keys, w)
-            assert span_rank(ms, w, ctx) == reference_span_rank(ms, ctx)
+        with pytest.raises(ValueError, match="2\\^53"):
+            span_rank(free_monomials(keys, 2), 2, ctx)
 
-    def test_float64_bound_picks_the_path(self, monkeypatch):
-        # The weight-4 t-monomials on three lines of the plane form one
-        # block of width 5 (quartics in x1, x2).  Below 5*(p-1)^2 = 2^53 it
-        # goes through rref, at or above it through the exact RowReducer.
+    def test_wide_block_above_the_old_width_bound_goes_through_rref(self, monkeypatch):
+        # The squares t^2 on three lines of the plane form one block of 3
+        # rows and width 5 (quartics in x1, x2).  At the largest
+        # prime with 3*(p-1)^2 + p < 2^53, width*(p-1)^2 >= 2^53, and rref
+        # still eliminates the block exactly.
         calls = []
         real_rref = oracle.rref
 
         def spy_rref(rows, p):
-            calls.append(("rref", rows.shape[1]))
+            calls.append(rows.shape)
             return real_rref(rows, p)
 
-        class SpyReducer(RowReducer):
-            def __init__(self, ncols, p):
-                calls.append(("RowReducer", ncols))
-                super().__init__(ncols, p)
-
         monkeypatch.setattr(oracle, "rref", spy_rref)
-        monkeypatch.setattr(oracle, "RowReducer", SpyReducer)
-        width = 5
-        edge = isqrt(2**53 // width) + 1  # least p - 1 with width*(p-1)^2 >= 2^53
-        below = next(p for p in range(edge, 2, -1) if is_prime(p))
-        above = next(p for p in range(edge + 1, 2 * edge) if is_prime(p))
-        assert width * (below - 1) ** 2 < 2**53 <= width * (above - 1) ** 2
-        for p, path in [(below, "rref"), (above, "RowReducer")]:
-            ctx = GroupContext(p, 2)
-            keys = sorted(Line(Character(c)) for c in [(1, 0), (0, 1), (1, 1)])
-            ms = [m for m in free_monomials(keys, 4) if not m.u_set]
-            calls.clear()
-            assert span_rank(ms, 4, ctx) == reference_span_rank(ms, ctx) == 5
-            assert calls == [(path, width)]
+        p = next(p for p in range(isqrt(2**53 // 3), 2, -1)
+                 if 3 * (p - 1) ** 2 + p < 2**53 and is_prime(p))
+        assert 5 * (p - 1) ** 2 >= 2**53
+        ctx = GroupContext(p, 2)
+        keys = sorted(Line(Character(c)) for c in [(1, 0), (0, 1), (1, 1)])
+        ms = [SuperMonomial(((key, 2),), ()) for key in keys]
+        assert span_rank(ms, 4, ctx) == reference_span_rank(ms, ctx) == 3
+        assert calls == [(3, 5)]
+
+    def test_two_lines_on_a_wide_short_block(self):
+        # The odd block is 20 rows by 9240 columns, 9240*(p-1)^2 >= 2^53;
+        # two independent lines give w + 1 at weight w.
+        ctx = GroupContext(1048573, 4)
+        keys = sorted(line_of(C(*c), ctx) for c in [(1, 1, 0, 0), (1, 0, 1, 1)])
+        assert span_rank(free_monomials(keys, 40), 40, ctx) == 41
 
     def test_prime_too_large_for_int64_rejected(self):
         ctx = GroupContext(2147483659, 2)  # 2*(p-1)^2 >= 2^63

@@ -111,3 +111,13 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], "%s has assert statements at lines %s" % (path.name, lines)
+
+
+def test_float64_bound_stated_in_modp_only():
+    # one float64 path, one bound: modp.check_exact
+    stated = sorted(
+        path.relative_to(PACKAGE).as_posix()
+        for path in PACKAGE.rglob("*.py")
+        if "2**53" in path.read_text(encoding="utf-8")
+    )
+    assert stated == ["modp.py"]
