@@ -15,12 +15,14 @@ single-threaded BLAS:
 * end to end, --repeat times: `python -m phiring.cli <job>` with the wall
   time, exit status, peak resident memory and stdout digest of each run
   (equal digests mean byte-identical reports);
-* for a p,n,cutoff job, also once by layer: the presentation is built, then
-  for each weight w the presentation route, quotient_dimension(pres, w),
-  and the weight-w step of the oracle's subring_hilbert are timed, with the
-  columns (free monomials) and the dimension each route finds.  The
-  oracle's time is split into building the rows of its dx-degree blocks
-  and eliminating them.
+* for a p,n,cutoff job, also once by layer: the closed form,
+  closed_form_series up to the cutoff, and the building of the presentation
+  are timed; then for each weight w the presentation route,
+  quotient_dimension(pres, w), and the weight-w step of the oracle's
+  subring_hilbert, span_rank on the monomial_codes of the lines, are timed,
+  with the columns (free monomials) and the dimension each route finds.
+  The oracle's time is split into building the rows of its dx-degree
+  blocks and eliminating them.
 
 Needs only the standard library and numpy.
 """
@@ -79,27 +81,30 @@ def layers(p, n, cutoff):
     """Per-weight timings of both routes, as a JSON-ready dict."""
     from phiring.charspace import GroupContext, enumerate_lines
     from phiring.oracle import span_rank
-    from phiring.phi import build_phi_presentation
-    from phiring.superalg import free_monomials, quotient_dimension
+    from phiring.phi import build_phi_presentation, closed_form_series
+    from phiring.superalg import monomial_codes, quotient_dimension
 
     ctx = GroupContext(p, n)
+    start = time.perf_counter()
+    closed_form_series(ctx, cutoff)
+    closed_form_s = time.perf_counter() - start
     start = time.perf_counter()
     pres = build_phi_presentation(ctx)
     build_s = time.perf_counter() - start
     gens = tuple(sorted(set(enumerate_lines(ctx))))
     weights = []
     for w in range(cutoff + 1):
-        monomials = free_monomials(gens, w)
+        codes = monomial_codes(len(gens), w)
         start = time.perf_counter()
         pres_dim = quotient_dimension(pres, w)
         pres_s = time.perf_counter() - start
         times = {"rows_s": 0.0, "elim_s": 0.0}
         start = time.perf_counter()
-        oracle_dim = span_rank(monomials, w, ctx, times)
+        oracle_dim = span_rank(gens, codes, w, ctx, times)
         oracle_s = time.perf_counter() - start
         weights.append({
             "weight": w,
-            "columns": len(monomials),
+            "columns": len(codes),
             "presentation_s": round(pres_s, 4),
             "presentation_dim": pres_dim,
             "oracle_s": round(oracle_s, 4),
@@ -107,7 +112,8 @@ def layers(p, n, cutoff):
             "oracle_elim_s": round(times["elim_s"], 4),
             "oracle_dim": oracle_dim,
         })
-    return {"build_s": round(build_s, 4), "weights": weights}
+    return {"closed_form_s": round(closed_form_s, 4), "build_s": round(build_s, 4),
+            "weights": weights}
 
 
 def bench_job(text, repeat):

@@ -210,25 +210,6 @@ class EchelonSubset:
         return "{%s}" % ";".join(str(chi) for chi in self.elems)
 
 
-def is_echelon(chars: frozenset[Character] | set[Character] | tuple[Character, ...],
-               ctx: GroupContext) -> bool:
-    """Echelon test w.r.t. the reversed column order: pivots (= last nonzero
-    coordinates) pairwise distinct and every element canonical.
-
-    Distinct trailing pivots force linear independence, so no rank
-    computation is needed.
-    """
-    chars = tuple(chars)
-    pivots = set()
-    for chi in chars:
-        if chi.coords[chi.pivot()] % ctx.p != 1:
-            return False
-        if chi.pivot() in pivots:
-            return False
-        pivots.add(chi.pivot())
-    return True
-
-
 def _pad(chi: Character, n: int) -> Character:
     return Character(chi.coords + (0,) * (n - len(chi.coords)))
 

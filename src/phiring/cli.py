@@ -275,7 +275,7 @@ def _cmd_ro_table(config: JobConfig, ctx: GroupContext):
     # kept for the reason given in _cmd_ro_dim.
     _check_budget(config.max_mult, max(0, min(config.k_max, 2 * config.max_mult)), ctx, config)
     table = rograde.ro_table(ctx, config.max_mult, (config.k_min, config.k_max))
-    named = [(_md_str(md), md.k, dim) for md, dim in table.entries.items()]
+    named = [(_md_str(md), md.k, dim) for md, dim in table.items()]
     report = {
         "max_mult": config.max_mult,
         "k_range": [config.k_min, config.k_max],

@@ -25,7 +25,14 @@ import numpy as np
 
 from .charspace import Character, GroupContext, Line, canonicalize
 from .modp import _SLAB_ROWS, _remainder, inverse_mod, rref
-from .superalg import SuperElement, SuperMonomial, free_monomials, merge_odd
+from .superalg import (
+    SuperElement,
+    SuperMonomial,
+    _packed,
+    exponent_rows,
+    merge_odd,
+    monomial_codes,
+)
 
 XKey = tuple[int, ...]
 DxKey = tuple[int, ...]
@@ -189,19 +196,6 @@ def embed(m: SuperMonomial, ctx: GroupContext) -> LocalizedBorelElement:
     """Image of a monomial: t -> 1/z, u -> dz/z, with scalars rewritten into
     the numerator when keys are raw characters (z of k*chi is k times z of
     chi, so t over k*chi is 1/k times t over chi, and u is unchanged)."""
-    denom, coeff, u_lines = _monomial_data(m, ctx)
-    num = PolyExtElement.one(ctx.p, ctx.n)
-    for line in u_lines:
-        num = num * d_euler_class(line, ctx)
-    return LocalizedBorelElement(num.scale(coeff), denom)
-
-
-def _monomial_data(
-    m: SuperMonomial, ctx: GroupContext
-) -> tuple[dict[Line, int], int, tuple[Line, ...]]:
-    """(denominator exponent per line, scalar, u-lines in u_set order) of the
-    image of m: the image is scalar * dz_L1 ^ ... ^ dz_Lk over the product of
-    z_L^exponent."""
     p = ctx.p
     coeff = 1
     denom: dict[Line, int] = {}
@@ -210,12 +204,12 @@ def _monomial_data(
         if scale != 1:
             coeff = coeff * pow(inverse_mod(scale, p), e, p) % p
         denom[line] = denom.get(line, 0) + e
-    u_lines = []
+    num = PolyExtElement.one(p, ctx.n)
     for key in m.u_set:
         line, _ = _line_scale(key, ctx)
         denom[line] = denom.get(line, 0) + 1
-        u_lines.append(line)
-    return denom, coeff, tuple(u_lines)
+        num = num * d_euler_class(line, ctx)
+    return LocalizedBorelElement(num.scale(coeff), denom)
 
 
 def _line_scale(key, ctx: GroupContext) -> tuple[Line, int]:
@@ -236,9 +230,11 @@ def relation_image(rel: SuperElement, ctx: GroupContext) -> LocalizedBorelElemen
 
 
 def span_rank(
-    ms: Sequence[SuperMonomial], weight: int, ctx: GroupContext, times: dict | None = None
+    keys: Sequence, codes: np.ndarray, weight: int, ctx: GroupContext, times: dict | None = None
 ) -> int:
-    """Rank over F_p of the embedded monomials, all of the given weight.
+    """Rank over F_p of the embedded monomials given as code rows, all of the
+    given weight: codes[r, i] is 2*t + u of keys[i] in the r-th monomial, as
+    in superalg.monomial_codes.
 
     The image of a monomial with k odd generators is a scalar times
     dz_L1 ^ ... ^ dz_Lk over a product of z's, so it lies in dx-degree k:
@@ -249,7 +245,8 @@ def span_rank(
     with P the product of the z's that clear it (one degree D per block) and
     omega the wedge of its dz's, and is expanded as a dense row over the
     degree-D x-monomials times the k-subsets of the dx's.  The scalar, which
-    Character keys bring in, is a unit and is left out: scaling a row by a
+    Character keys bring in, and the sign of omega, which depends on the
+    order of its factors, are units and are left out: scaling a row by a
     unit does not change the rank.  Each block is eliminated whole by
     modp.rref, the kernel the presentation route uses too, on the one
     float64 path: rref checks its own bound and raises ValueError past it.
@@ -257,68 +254,58 @@ def span_rank(
     When times is a dict, the seconds spent building the blocks' rows and
     eliminating them are added to times["rows_s"] and times["elim_s"].
     """
-    rank = 0
-    for block in _blocks(ms, weight, ctx):
-        start = time.perf_counter()
-        rows = _block_rows(block, ctx)
-        built = time.perf_counter()
-        rank += len(rref(rows, ctx.p)[1])
-        if times is not None:
-            times["rows_s"] = times.get("rows_s", 0.0) + built - start
-            times["elim_s"] = times.get("elim_s", 0.0) + time.perf_counter() - built
-    return rank
-
-
-def _blocks(ms: Sequence[SuperMonomial], weight: int, ctx: GroupContext) -> list[list]:
-    """The _monomial_data triples of ms, one list per dx-degree."""
+    start = time.perf_counter()
     if ctx.n * (ctx.p - 1) ** 2 >= 2**63:
         raise ValueError(
             "n*(p-1)^2 = %d is not below 2^63: int64 products of linear forms "
             "would not be exact" % (ctx.n * (ctx.p - 1) ** 2)
         )
-    blocks: dict[int, list] = {}
-    for m in ms:
-        if m.weight != weight:
-            raise ValueError("monomial %s has weight %d, expected %d" % (m, m.weight, weight))
-        data = _monomial_data(m, ctx)
-        blocks.setdefault(len(data[2]), []).append(data)
-    return list(blocks.values())
-
-
-def _block_rows(block: list, ctx: GroupContext) -> np.ndarray:
-    """The cleared numerators P (x) omega of one dx-degree block of
-    _monomial_data triples, as float64 rows with entries in [0, p), ready
-    for rref; all-zero rows are left out."""
-    p = ctx.p
-    top: dict[Line, int] = {}
-    for denom, _, _ in block:
-        for line, e in denom.items():
-            if e > top.get(line, 0):
-                top[line] = e
-    lines = sorted(top)
-    dmax = [top[line] for line in lines]
-    p_of: dict[tuple[int, ...], int] = {}
-    omega_of: dict[tuple[Line, ...], int] = {}
-    p_idx, omega_idx = [], []
-    for denom, _, u_lines in block:
-        comp = tuple(d - denom.get(line, 0) for line, d in zip(lines, dmax))
-        p_idx.append(p_of.setdefault(comp, len(p_of)))
-        omega_idx.append(omega_of.setdefault(u_lines, len(omega_of)))
+    codes = np.asarray(codes, dtype=np.int64)
+    if (codes.sum(axis=1) != weight).any():
+        raise ValueError("every code row must have weight %d" % weight)
+    key_lines = [_line_scale(key, ctx)[0] for key in keys]
+    lines = sorted(set(key_lines))
+    line_index = {line: j for j, line in enumerate(lines)}
+    incidence = np.zeros((max(len(keys), 1), len(lines)), dtype=np.int64)
+    incidence[np.arange(len(keys)), [line_index[line] for line in key_lines]] = 1
+    # per line: the denominator exponent (t + u of its keys) and the u count
+    denom = ((codes + 1) // 2) @ incidence
+    odd = (codes & 1) @ incidence
+    # the wedge of two odd generators on one line is 0
+    keep = (odd <= 1).all(axis=1)
+    denom, odd = denom[keep], odd[keep]
+    dx_degree = odd.sum(axis=1)
     coords = np.array([line.rep.coords for line in lines], dtype=np.int64)
     coords = coords.reshape(len(lines), ctx.n)
-    # The factors of each distinct P, one line index per factor.
-    degree = sum(next(iter(p_of)))
-    factors = np.array(
-        [[i for i, e in enumerate(comp) for _ in range(e)] for comp in p_of], dtype=np.intp
-    ).reshape(len(p_of), degree)
-    polys = _products(coords[factors], p)
+    rank, elim_s = 0, 0.0
+    for k in np.flatnonzero(np.bincount(dx_degree)):
+        block = dx_degree == k
+        rows = _block_rows(denom[block], odd[block], coords, ctx.p)
+        built = time.perf_counter()
+        rank += len(rref(rows, ctx.p)[1])
+        elim_s += time.perf_counter() - built
+    if times is not None:
+        times["rows_s"] = times.get("rows_s", 0.0) + time.perf_counter() - start - elim_s
+        times["elim_s"] = times.get("elim_s", 0.0) + elim_s
+    return rank
+
+
+def _block_rows(denom: np.ndarray, odd: np.ndarray, coords: np.ndarray, p: int) -> np.ndarray:
+    """The cleared numerators P (x) omega of one dx-degree block, given each
+    monomial's denominator exponents and u counts per line, as float64 rows
+    with entries in [0, p), ready for rref; all-zero rows are left out."""
+    comps, p_idx = _group(denom.max(axis=0) - denom)
+    u_sets, omega_idx = _group(odd)
+    degree = int(comps[0].sum())
+    factors = np.repeat(np.tile(np.arange(len(coords)), len(comps)), comps.ravel())
+    polys = _products(coords[factors.reshape(len(comps), degree)], p)
     omegas = np.array(
-        [_omega(tuple(line.rep.coords for line in u_lines), p, ctx.n) for u_lines in omega_of],
+        [_omega(coords[u_set == 1].tolist(), p, coords.shape[1]) for u_set in u_sets],
         dtype=np.int64,
-    )
-    # omega is 0 for u's on two multiples of one line, and P never is
+    ).reshape(len(u_sets), -1)
+    # omega is 0 when the u-lines are dependent, and P never is
     live = omegas.any(axis=1)[omega_idx]
-    p_idx, omega_idx = np.asarray(p_idx)[live], np.asarray(omega_idx)[live]
+    p_idx, omega_idx = p_idx[live], omega_idx[live]
     width = polys.shape[1] * omegas.shape[1]
     # Products of two residues are at most (p-1)^2, exact in float64 for
     # every p that rref accepts; the rows are built a slab at a time, which
@@ -332,6 +319,17 @@ def _block_rows(block: list, ctx: GroupContext) -> np.ndarray:
                     out=part.reshape(len(part), polys.shape[1], omegas.shape[1]))
         _remainder(part, p)
     return rows
+
+
+def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, in lex order, and the index among them of each
+    row."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ordered = rows[order]
+    new = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ordered[new], index
 
 
 def _products(forms: np.ndarray, p: int) -> np.ndarray:
@@ -351,7 +349,7 @@ def _products(forms: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _omega(forms: tuple[tuple[int, ...], ...], p: int, n: int) -> list[int]:
+def _omega(forms: Sequence[Sequence[int]], p: int, n: int) -> list[int]:
     """The wedge mod p of the one-forms forms[0], forms[1], ... (coefficients
     on dx_1..dx_n), multiplied in that order, over the k-subsets of the dx's
     in _wedge_x's order.  At most 2^n entries, so plain integers suffice."""
@@ -368,17 +366,13 @@ def _omega(forms: tuple[tuple[int, ...], ...], p: int, n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _times_x(n: int, s: int) -> np.ndarray:
     """[j, i] = index of x^a * x_i among the degree-(s+1) monomials, for the
-    j-th degree-s monomial x^a; monomials are indexed in the order of
-    combinations_with_replacement over the variables."""
-    monos = itertools.combinations_with_replacement(range(n), s + 1)
-    upper = {mono: j for j, mono in enumerate(monos)}
-    out = np.array(
-        [
-            [upper[tuple(sorted(mono + (i,)))] for i in range(n)]
-            for mono in itertools.combinations_with_replacement(range(n), s)
-        ],
-        dtype=np.intp,
-    )
+    j-th degree-s monomial x^a; monomials are indexed in exponent_rows
+    order, which is that of combinations_with_replacement."""
+    lower, upper = exponent_rows(n, s), exponent_rows(n, s + 1)
+    targets = (lower[:, None, :] + np.eye(n, dtype=np.int64)).reshape(len(lower) * n, n)
+    keys = _packed(upper)
+    order = np.argsort(keys)
+    out = order[np.searchsorted(keys[order], _packed(targets))].reshape(len(lower), n)
     out.flags.writeable = False
     return out
 
@@ -400,24 +394,12 @@ def _wedge_x(n: int, s: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     )
 
 
-@dataclass
-class GradedDimensionTable:
-    """Degree (or multidegree) -> dimension, tagged with where it came from."""
-
-    entries: dict
-    source: str
-
-    def as_list(self, cutoff: int) -> list[int]:
-        return [self.entries.get(w, 0) for w in range(cutoff + 1)]
-
-
-def subring_hilbert(lines: Iterable[Line], cutoff: int, ctx: GroupContext) -> GradedDimensionTable:
-    """Hilbert function, up to the cutoff, of the subring of the localized
+def subring_hilbert(lines: Iterable[Line], cutoff: int, ctx: GroupContext) -> tuple[int, ...]:
+    """Hilbert function, weights 0..cutoff, of the subring of the localized
     Borel ring generated by the t, u pairs of the given lines."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     gens = tuple(sorted(set(lines)))
-    entries = {
-        w: span_rank(free_monomials(gens, w), w, ctx) for w in range(cutoff + 1)
-    }
-    return GradedDimensionTable(entries, "oracle")
+    return tuple(
+        span_rank(gens, monomial_codes(len(gens), w), w, ctx) for w in range(cutoff + 1)
+    )

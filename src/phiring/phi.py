@@ -213,10 +213,8 @@ def compare_routes(
     means one of the two routes computed a wrong number (RuntimeError).
     Equality is reported, never repaired.
     """
-    weights = range(cutoff + 1)
-    table = subring_hilbert(lines, cutoff, ctx)
-    oracle_dims = tuple(table.entries[w] for w in weights)
-    pres_dims = tuple(quotient_dimension(pres, w) for w in weights)
+    oracle_dims = subring_hilbert(lines, cutoff, ctx)
+    pres_dims = tuple(quotient_dimension(pres, w) for w in range(cutoff + 1))
     for w, (o, q) in enumerate(zip(oracle_dims, pres_dims)):
         if o > q:
             raise RuntimeError(

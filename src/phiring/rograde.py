@@ -29,7 +29,6 @@ from .charspace import (
     enumerate_lines,
     rank_of,
 )
-from .oracle import GradedDimensionTable
 from .phi import Comparison, compare_routes, line_presentation
 
 
@@ -123,7 +122,7 @@ def ro_dimension(ctx: GroupContext, md: MultiDegree) -> int:
 
 def ro_table(
     ctx: GroupContext, max_total_mult: int, k_range: tuple[int, int]
-) -> GradedDimensionTable:
+) -> dict[MultiDegree, int]:
     """ro_dimension over every multidegree with total multiplicity up to the
     bound and shift in the inclusive range, in a fixed iteration order."""
     k_lo, k_hi = k_range
@@ -138,7 +137,7 @@ def ro_table(
             for k in range(k_lo, k_hi + 1):
                 md = MultiDegree(mults, k)
                 entries[md] = ro_dimension(ctx, md)
-    return GradedDimensionTable(entries, "exterior-power")
+    return entries
 
 
 def localized_hilbert(ctx: GroupContext, lines, cutoff: int) -> Comparison:

@@ -13,7 +13,6 @@ basis: the ideal is homogeneous, so the weight-w truncation is exact.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
@@ -214,33 +213,54 @@ class Presentation:
 
 
 def free_monomials(gens: Sequence, weight: int) -> list[SuperMonomial]:
-    """All monomials of exact weight on the given generator keys, each
-    normalized in key order, so gens need not be sorted.
+    """All monomials of exact weight on the given generator keys, in
+    monomial_codes order on sorted(gens)."""
+    return _decode(monomial_codes(len(gens), weight), sorted(gens))
 
-    The order compares, in turn: the odd length, ascending; the odd part, as
-    the increasing tuple of its generators' positions in gens, in lex order;
-    the t-exponent vector indexed by position in gens, in lex order.  For
-    sorted gens this is odd length, then odd part, then t-vector in key order.
-    """
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
-    keyed = sorted(gens)
-    rank = {g: r for r, g in enumerate(keyed)}
-    key_rank = [rank[g] for g in gens]
-    positions = range(len(gens))
+
+def exponent_rows(n: int, degree: int) -> np.ndarray:
+    """Exponent vectors of the degree-d monomials in n >= 1 variables, one
+    row each, in the order of combinations_with_replacement(range(n), d),
+    descending lex.  Each is read off n - 1 bars among d + n - 1 slots
+    (stars and bars), which combinations yields in ascending lex order."""
+    slots = degree + n - 1
+    count = comb(slots, n - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), n - 1)),
+        dtype=np.int64, count=count * (n - 1),
+    ).reshape(count, n - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots)[::-1] - 1
+
+
+def monomial_codes(num_gens: int, weight: int) -> np.ndarray:
+    """The free monomials of exact weight on num_gens generator pairs: one
+    row each, one column per generator in key order holding 2*t + u (one
+    zero column if there are none, so that packed rows are not empty), in
+    the smallest dtype that holds the weight.  Rows are sorted by odd
+    length, then odd part as the increasing tuple of its positions, then
+    t-exponent vector, each ascending, so each odd length is a contiguous
+    range."""
+    if num_gens < 0 or weight < 0:
+        raise ValueError("arguments must be nonnegative")
+    dtype = np.min_scalar_type(max(weight, 1))
+    if not num_gens:
+        return np.zeros((int(weight == 0), 1), dtype=dtype)
+    # each vector of entries summing to the weight codes exactly one monomial
+    codes = exponent_rows(num_gens, weight)
+    odd = codes & 1
+    # lexsort's last key sorts first; an earlier odd part has 1 at the first
+    # position where the two differ
+    order = np.lexsort((*(codes >> 1).T[::-1], *(1 - odd).T[::-1], odd.sum(axis=1)))
+    return codes[order].astype(dtype)
+
+
+def _decode(codes: np.ndarray, keys: Sequence) -> list[SuperMonomial]:
+    """The monomials of code rows whose i-th column belongs to keys[i]."""
     out = []
-    for j in range(weight % 2, min(len(gens), weight) + 1, 2):
-        tdeg = (weight - j) // 2
-        # combinations_with_replacement yields the t-vectors in descending
-        # lex order, so its reverse is ascending
-        t_parts = reversed(list(itertools.combinations_with_replacement(positions, tdeg)))
-        t_exps = [
-            tuple((keyed[r], e) for r, e in sorted(Counter(key_rank[i] for i in part).items()))
-            for part in t_parts
-        ]
-        for odd in itertools.combinations(positions, j):
-            u_set = tuple(keyed[r] for r in sorted(key_rank[i] for i in odd))
-            out.extend(SuperMonomial(t_exp, u_set) for t_exp in t_exps)
+    for row in codes.tolist():
+        t_exp = tuple((k, c >> 1) for k, c in zip(keys, row) if c > 1)
+        u_set = tuple(k for k, c in zip(keys, row) if c & 1)
+        out.append(SuperMonomial(t_exp, u_set))
     return out
 
 
@@ -252,12 +272,6 @@ def free_monomial_count(num_gens: int, weight: int) -> int:
     if num_gens == 0:
         return 1 if weight == 0 else 0
     return comb(weight + num_gens - 1, num_gens - 1)
-
-
-@dataclass
-class _QuotientData:
-    dimension: int
-    basis: tuple[SuperMonomial, ...]
 
 
 # Relation terms are multiplied by their shifts in slabs of about
@@ -316,7 +330,7 @@ def _macaulay_entries(pres: Presentation, weight: int, position: dict, basis_cod
     rows, cols, vals = [], [], []
     row_base = 0
     for w_rel, rels in sorted(by_weight.items()):
-        shift_codes = _encode(free_monomials(pres.gens, weight - w_rel), position, basis_codes.dtype)
+        shift_codes = monomial_codes(len(position), weight - w_rel)
         n_shifts = len(shift_codes)
         shift_odd = (shift_codes & 1).astype(np.float64)
         # number of odd generators of each shift strictly before each position
@@ -341,23 +355,22 @@ def _macaulay_entries(pres: Presentation, weight: int, position: dict, basis_cod
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _quotient_data(pres: Presentation, weight: int) -> _QuotientData:
+def _quotient_data(pres: Presentation, weight: int) -> tuple[np.ndarray, list[int]]:
     """Eliminate the weight-w Macaulay matrix one odd-degree column block at
-    a time.
+    a time; return its columns' monomial codes and its pivot columns.
 
-    free_monomials builds its list one odd length at a time, in ascending
+    monomial_codes lists one odd length at a time, in ascending
     order, so each odd degree is a contiguous column range.  A relation whose terms share one odd degree lands every
     row in a single block, so the blocks are independent; if some relation
     mixes odd degrees the whole weight is one block.
     """
     p = pres.ctx.p
-    basis = free_monomials(pres.gens, weight)
-    if not basis:
-        return _QuotientData(0, ())
     position = {k: i for i, k in enumerate(sorted(pres.gens))}
-    codes = _encode(basis, position, np.min_scalar_type(max(weight, 1)))
+    codes = monomial_codes(len(position), weight)
+    if not len(codes):
+        return codes, []
     rows, cols, vals = _macaulay_entries(pres, weight, position, codes)
-    odd = np.array([m.odd_degree for m in basis], dtype=np.int32)
+    odd = (codes & 1).sum(1)
     bihomogeneous = all(len({m.odd_degree for m in rel.terms}) == 1 for rel in pres.relations)
     block_of_col = odd if bihomogeneous else np.zeros_like(odd)
     n_blocks = int(block_of_col.max()) + 1
@@ -382,17 +395,17 @@ def _quotient_data(pres: Presentation, weight: int) -> _QuotientData:
             a, z = np.searchsorted(local, [first, first + chunk])
             kernel.add_rows(local[a:z] - first, block_cols[a:z], block_vals[a:z])
         pivots.extend(c0 + c for c in kernel.pivot_columns)
-    pivot_set = set(pivots)
-    kept = tuple(m for i, m in enumerate(basis) if i not in pivot_set)
-    return _QuotientData(len(basis) - len(pivots), kept)
+    return codes, pivots
 
 
 def quotient_dimension(pres: Presentation, weight: int) -> int:
     """dim over F_p of (free algebra / ideal) in the given weight."""
-    return _quotient_data(pres, weight).dimension
+    codes, pivots = _quotient_data(pres, weight)
+    return len(codes) - len(pivots)
 
 
 def monomial_basis(pres: Presentation, weight: int) -> tuple[SuperMonomial, ...]:
     """Monomials spanning the quotient: the pivot-free columns of the
     eliminated Macaulay matrix, in the fixed monomial order."""
-    return _quotient_data(pres, weight).basis
+    codes, pivots = _quotient_data(pres, weight)
+    return tuple(_decode(np.delete(codes, pivots, axis=0), sorted(pres.gens)))

@@ -1,8 +1,12 @@
 """Reference for the free monomials: the sort-based enumeration that
-superalg.free_monomials must reproduce exactly for sorted generator keys."""
+superalg.free_monomials must reproduce exactly for sorted generator keys,
+and the encoding of monomials as the code rows that oracle.span_rank
+reads."""
 
 import itertools
 from typing import Sequence
+
+import numpy as np
 
 from phiring.superalg import SuperMonomial
 
@@ -49,3 +53,19 @@ def reference_free_monomials(gens: Sequence, weight: int) -> list[SuperMonomial]
                 out.append(SuperMonomial(t_exp, u_keys))
     out.sort(key=_monomial_sort_key(tuple(gens)))
     return out
+
+
+def encode(ms: Sequence[SuperMonomial], keys: Sequence | None = None):
+    """(keys, codes) with codes[r, i] = 2*t + u of keys[i] in ms[r], the
+    layout of superalg.monomial_codes; keys default to the sorted keys that
+    ms uses, and no keys leave one zero column."""
+    if keys is None:
+        keys = sorted({k for m in ms for k in m.keys()})
+    column = {k: i for i, k in enumerate(keys)}
+    codes = np.zeros((len(ms), max(len(keys), 1)), dtype=np.int64)
+    for r, m in enumerate(ms):
+        for k, e in m.t_exp:
+            codes[r, column[k]] += 2 * e
+        for k in m.u_set:
+            codes[r, column[k]] += 1
+    return tuple(keys), codes

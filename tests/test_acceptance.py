@@ -20,7 +20,6 @@ from phiring.charspace import (
     enumerate_characters,
     enumerate_Fn,
     enumerate_lines,
-    is_echelon,
     line_of,
     subset_rank_count,
 )
@@ -28,7 +27,7 @@ from phiring.oracle import relation_image
 from phiring.phi import build_phi_presentation, closed_form_series, verify_phi
 from phiring.rograde import localized_hilbert, multidegree, ro_dimension
 from phiring.ssq import e1_dim, e2_dim, e2_total
-from subset_rank_reference import subset_rank_count_bruteforce
+from subset_rank_reference import is_echelon_set, subset_rank_count_bruteforce
 
 
 def report(num: int, description: str, passed: bool, elapsed: float) -> None:
@@ -103,13 +102,13 @@ def test_criterion_4_echelon_family_and_second_page():
             passed = passed and len(family) == prod(
                 1 + p ** (i - 1) for i in range(1, n + 1)
             )
-            passed = passed and all(is_echelon(sub.elems, ctx) for sub in family)
+            passed = passed and all(is_echelon_set(sub.elems) for sub in family)
     ctx = GroupContext(3, 2)
     brute = set()
     chars = list(enumerate_characters(ctx))
     for size in range(ctx.n + 1):
         for sub in itertools.combinations(chars, size):
-            if is_echelon(sub, ctx):
+            if is_echelon_set(sub):
                 brute.add(tuple(sorted(sub, key=lambda chi: chi.pivot())))
     passed = passed and {s.elems for s in enumerate_Fn(ctx)} == brute and len(brute) == 8
     for (p, n), cutoff in [((3, 2), 10), ((3, 3), 8), ((5, 2), 8)]:

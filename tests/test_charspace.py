@@ -18,7 +18,6 @@ from phiring.charspace import (
     enumerate_characters,
     enumerate_Fn,
     enumerate_lines,
-    is_echelon,
     line_of,
     rank_of,
     subset_rank_count,
@@ -26,7 +25,7 @@ from phiring.charspace import (
     _solve_zero_sum,
 )
 from phiring.rograde import irrep_label
-from subset_rank_reference import subset_rank_count_bruteforce
+from subset_rank_reference import is_echelon_set, subset_rank_count_bruteforce
 
 
 def C(*coords):
@@ -190,20 +189,18 @@ class TestEnumerateLines:
 
 class TestEchelon:
     def test_identity_like(self):
-        ctx = GroupContext(3, 2)
-        assert is_echelon({C(1, 0), C(0, 1)}, ctx)
+        assert EchelonSubset((C(1, 0), C(0, 1))).size == 2
 
     def test_clashing_pivots(self):
-        ctx = GroupContext(3, 2)
-        assert not is_echelon({C(1, 1), C(2, 1)}, ctx)
+        with pytest.raises(ValueError):
+            EchelonSubset((C(1, 1), C(2, 1)))
 
     def test_entries_above_pivot_arbitrary(self):
-        ctx = GroupContext(3, 3)
-        assert is_echelon({C(2, 1, 0), C(1, 0, 1)}, ctx)
+        assert EchelonSubset((C(2, 1, 0), C(1, 0, 1))).size == 2
 
     def test_non_canonical_rep_rejected(self):
-        ctx = GroupContext(3, 2)
-        assert not is_echelon({C(0, 2)}, ctx)
+        with pytest.raises(ValueError):
+            EchelonSubset((C(0, 2),))
 
     def test_echelon_sets_are_independent(self):
         ctx = GroupContext(5, 3)
@@ -242,7 +239,7 @@ class TestEnumerateFn:
         brute = set()
         for size in range(ctx.n + 1):
             for sub in itertools.combinations(chars, size):
-                if is_echelon(sub, ctx) and rank_of(sub, ctx) == size:
+                if is_echelon_set(sub) and rank_of(sub, ctx) == size:
                     brute.add(tuple(sorted(sub, key=lambda chi: chi.pivot())))
         assert {sub.elems for sub in enumerate_Fn(ctx)} == brute
         assert len(brute) == 8
@@ -254,9 +251,13 @@ class TestEnumerateFn:
         assert len(got) == prod(1 + p ** (i - 1) for i in range(1, n + 1))
 
     def test_members_pass_is_echelon(self):
+        # the conditions EchelonSubset checks, restated: increasing pivots,
+        # each with coordinate 1
         for ctx in (GroupContext(3, 3), GroupContext(5, 2)):
             for sub in enumerate_Fn(ctx):
-                assert is_echelon(sub.elems, ctx)
+                pivots = [chi.pivot() for chi in sub.elems]
+                assert pivots == sorted(set(pivots))
+                assert all(chi.coords[piv] == 1 for chi, piv in zip(sub.elems, pivots))
 
 
 class TestZeroSumTriples:

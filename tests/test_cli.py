@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from phiring import cli
+from phiring import cli, phi, rograde, superalg
 
 
 def run_cli(argv, capsys):
@@ -93,6 +93,41 @@ class TestVerify:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["equal"] == [True] * 8
         assert elapsed < 10, "took %.1f s" % elapsed
+
+
+    @pytest.mark.parametrize(
+        "argv, module, builder",
+        [
+            (["phi-verify", "--p", "7", "--n", "2", "--cutoff", "5"], phi,
+             "build_phi_presentation"),
+            (["localize", "--p", "3", "--n", "3", "--cutoff", "5", "--lines",
+              "1,0,0;0,1,0;1,1,0;1,1,1"], rograde, "line_presentation"),
+        ],
+        ids=["phi-verify", "localize"],
+    )
+    def test_routes_construct_no_monomial_objects(self, argv, module, builder, capsys,
+                                                  monkeypatch):
+        # both routes read the free monomials as code rows: SuperMonomials
+        # are built only while the presentation's relations are
+        built, inside = [0], [0]
+        post_init = superalg.SuperMonomial.__post_init__
+        build = getattr(module, builder)
+
+        def counting_post_init(m):
+            built[0] += 1
+            post_init(m)
+
+        def counting_build(*args, **kwargs):
+            before = built[0]
+            pres = build(*args, **kwargs)
+            inside[0] += built[0] - before
+            return pres
+
+        monkeypatch.setattr(superalg.SuperMonomial, "__post_init__", counting_post_init)
+        monkeypatch.setattr(module, builder, counting_build)
+        code, _, _ = run_cli(argv, capsys)
+        assert code in (0, 1)
+        assert inside[0] > 0 and built[0] == inside[0]
 
 
 class TestUsageErrors:

@@ -1,6 +1,8 @@
+import itertools
 import random
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +11,6 @@ from phiring import oracle, rograde
 from phiring.charspace import Character, GroupContext, Line, enumerate_lines, line_of
 from phiring.modp import RowReducer
 from phiring.oracle import (
-    GradedDimensionTable,
     LocalizedBorelElement,
     PolyExtElement,
     d_euler_class,
@@ -20,7 +21,8 @@ from phiring.oracle import (
     subring_hilbert,
 )
 from phiring.phi import build_phi_presentation, relation_families
-from phiring.superalg import SuperElement, SuperMonomial, free_monomials
+from phiring.superalg import SuperElement, SuperMonomial, free_monomials, monomial_codes
+from monomial_reference import encode
 from ro_reference import ro_words
 
 
@@ -149,17 +151,17 @@ class TestSpanRank:
     def test_independent_even_generators(self):
         l10, l01 = line_of(C(1, 0), CTX32), line_of(C(0, 1), CTX32)
         ms = [SuperMonomial.t(l10), SuperMonomial.t(l01)]
-        assert span_rank(ms, 2, CTX32) == 2
+        assert span_rank(*encode(ms), 2, CTX32) == 2
 
     def test_mixed_pair(self):
         l10, l01 = line_of(C(1, 0), CTX32), line_of(C(0, 1), CTX32)
         m1 = SuperMonomial(((l01, 1),), (l10,))
         m2 = SuperMonomial(((l10, 1),), (l01,))
-        assert span_rank([m1, m2], 3, CTX32) == 2
+        assert span_rank(*encode([m1, m2]), 3, CTX32) == 2
 
     def test_duplicate_monomial_adds_nothing(self):
         m = SuperMonomial.t(LINES32[0])
-        assert span_rank([m, m], 2, CTX32) == 1
+        assert span_rank(*encode([m, m]), 2, CTX32) == 1
 
     def test_scalar_multiple_row_adds_nothing(self):
         # unit rescaling of an embedded row cannot change the span: over
@@ -168,22 +170,20 @@ class TestSpanRank:
         ctx = GroupContext(5, 2)
         chi = C(1, 2)
         twice = chi.scaled(2, ctx.p)
-        assert span_rank([SuperMonomial.t(chi), SuperMonomial.t(twice)], 2, ctx) == 1
-        assert span_rank([SuperMonomial.u(chi), SuperMonomial.u(twice)], 1, ctx) == 1
+        assert span_rank(*encode([SuperMonomial.t(chi), SuperMonomial.t(twice)]), 2, ctx) == 1
+        assert span_rank(*encode([SuperMonomial.u(chi), SuperMonomial.u(twice)]), 1, ctx) == 1
 
     def test_inhomogeneous_rejected(self):
         ms = [SuperMonomial.t(LINES32[0]), SuperMonomial.u(LINES32[0])]
-        with pytest.raises(ValueError):
-            span_rank(ms, 2, CTX32)
+        with pytest.raises(ValueError, match="weight 2"):
+            span_rank(*encode(ms), 2, CTX32)
 
     def test_permutation_invariance(self):
-        rng = random.Random(3)
-        ms = free_monomials(LINES32, 3)
-        base = span_rank(ms, 3, CTX32)
+        rng = np.random.default_rng(3)
+        codes = monomial_codes(len(LINES32), 3)
+        base = span_rank(LINES32, codes, 3, CTX32)
         for _ in range(3):
-            shuffled = list(ms)
-            rng.shuffle(shuffled)
-            assert span_rank(shuffled, 3, CTX32) == base
+            assert span_rank(LINES32, rng.permutation(codes), 3, CTX32) == base
 
 
 def reference_span_rank(ms, ctx):
@@ -235,17 +235,55 @@ def monomial_sets(draw):
     return ctx, weight, ms
 
 
+@st.composite
+def character_sets_with_dead_block(draw):
+    """Monomials of one weight on raw characters, two of them, a and b,
+    multiples of one line: every row of one dx-degree k >= 2 has u on both
+    a and b, so the whole block embeds to 0; the other rows are a random
+    subset of free_monomials."""
+    p, n = draw(st.sampled_from(SHAPES))
+    ctx = GroupContext(p, n)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lines = enumerate_lines(ctx)
+    chosen = rng.sample(lines, rng.randint(1, min(4, len(lines))))
+    a = chosen[0].rep.scaled(rng.randrange(1, p), p)
+    b = a.scaled(rng.randrange(2, p), p)
+    keys = sorted({a, b} | {L.rep.scaled(rng.randrange(1, p), p) for L in chosen[1:]})
+    weight = draw(st.integers(2, 4 if n == 3 else 5))
+    if weight % 2 and len(keys) < 3:
+        weight -= 1  # u on a and b needs a third odd generator
+    codes = monomial_codes(len(keys), weight)
+    odd = codes & 1
+    dx_degree = odd.sum(axis=1)
+    both = (odd[:, keys.index(a)] & odd[:, keys.index(b)]).astype(bool)
+    dead = rng.choice(sorted(set(dx_degree[both].tolist())))
+    pick = np.array([rng.random() < 0.5 for _ in range(len(codes))], dtype=bool)
+    pick[np.flatnonzero(both & (dx_degree == dead))[0]] = True
+    pick &= (dx_degree != dead) | both
+    rows = np.flatnonzero(pick)
+    rng.shuffle(rows)
+    pool = free_monomials(keys, weight)
+    ms = [pool[r] for r in rows]
+    return ctx, weight, keys, codes[rows], ms
+
+
 class TestSpanRankAgainstReference:
     @given(monomial_sets())
     def test_random_monomial_sets(self, case):
         ctx, weight, ms = case
-        assert span_rank(ms, weight, ctx) == reference_span_rank(ms, ctx)
+        assert span_rank(*encode(ms), weight, ctx) == reference_span_rank(ms, ctx)
+
+    @given(character_sets_with_dead_block())
+    def test_character_keys_with_a_dead_block(self, case):
+        ctx, weight, keys, codes, ms = case
+        assert span_rank(keys, codes, weight, ctx) == reference_span_rank(ms, ctx)
 
     @pytest.mark.parametrize("p,n,w", [(3, 2, 6), (5, 2, 5), (3, 3, 4)])
     def test_full_free_monomial_sets(self, p, n, w):
         ctx = GroupContext(p, n)
-        ms = free_monomials(enumerate_lines(ctx), w)
-        assert span_rank(ms, w, ctx) == reference_span_rank(ms, ctx)
+        lines = enumerate_lines(ctx)
+        codes = monomial_codes(len(lines), w)
+        assert span_rank(lines, codes, w, ctx) == reference_span_rank(free_monomials(lines, w), ctx)
 
     @given(st.sampled_from([(3, 3), (5, 2), (7, 2)]), st.integers(0, 2**32 - 1))
     def test_ro_dimension_monomial_sets(self, shape, seed):
@@ -269,7 +307,7 @@ class TestSpanRankAgainstReference:
         ctx = GroupContext(p, 2)
         keys = sorted(Line(Character(c)) for c in [(1, 0), (0, 1), (1, 1), (p - 2, 1)])
         with pytest.raises(ValueError, match="2\\^53"):
-            span_rank(free_monomials(keys, 2), 2, ctx)
+            span_rank(keys, monomial_codes(len(keys), 2), 2, ctx)
 
     def test_wide_block_above_the_old_width_bound_goes_through_rref(self, monkeypatch):
         # The squares t^2 on three lines of the plane form one block of 3
@@ -290,7 +328,7 @@ class TestSpanRankAgainstReference:
         ctx = GroupContext(p, 2)
         keys = sorted(Line(Character(c)) for c in [(1, 0), (0, 1), (1, 1)])
         ms = [SuperMonomial(((key, 2),), ()) for key in keys]
-        assert span_rank(ms, 4, ctx) == reference_span_rank(ms, ctx) == 3
+        assert span_rank(*encode(ms), 4, ctx) == reference_span_rank(ms, ctx) == 3
         assert calls == [(3, 5)]
 
     def test_two_lines_on_a_wide_short_block(self):
@@ -298,46 +336,42 @@ class TestSpanRankAgainstReference:
         # two independent lines give w + 1 at weight w.
         ctx = GroupContext(1048573, 4)
         keys = sorted(line_of(C(*c), ctx) for c in [(1, 1, 0, 0), (1, 0, 1, 1)])
-        assert span_rank(free_monomials(keys, 40), 40, ctx) == 41
+        assert span_rank(keys, monomial_codes(len(keys), 40), 40, ctx) == 41
 
     def test_prime_too_large_for_int64_rejected(self):
         ctx = GroupContext(2147483659, 2)  # 2*(p-1)^2 >= 2^63
         with pytest.raises(ValueError, match="2\\^63"):
-            span_rank([SuperMonomial.t(Line(Character((1, 0))))], 2, ctx)
+            span_rank(*encode([SuperMonomial.t(Line(Character((1, 0))))]), 2, ctx)
 
     def test_times_accumulate_over_calls(self):
         ctx = GroupContext(3, 2)
         keys = sorted(enumerate_lines(ctx))
         times = {}
         for w in range(5):
-            ms = free_monomials(keys, w)
-            assert span_rank(ms, w, ctx, times) == span_rank(ms, w, ctx)
+            codes = monomial_codes(len(keys), w)
+            assert span_rank(keys, codes, w, ctx, times) == span_rank(keys, codes, w, ctx)
         first = dict(times)
         assert set(first) == {"rows_s", "elim_s"} and min(first.values()) > 0
-        span_rank(free_monomials(keys, 4), 4, ctx, times)
+        span_rank(keys, monomial_codes(len(keys), 4), 4, ctx, times)
         assert all(times[key] > first[key] for key in first)
 
 
 class TestSubringHilbert:
     def test_rank_one_all_ones(self):
         ctx = GroupContext(3, 1)
-        table = subring_hilbert(enumerate_lines(ctx), 6, ctx)
-        assert table.as_list(6) == [1] * 7
-        assert table.source == "oracle"
+        assert subring_hilbert(enumerate_lines(ctx), 6, ctx) == (1,) * 7
 
     def test_full_plane_matches_series(self):
-        table = subring_hilbert(LINES32, 4, CTX32)
-        assert table.as_list(4) == [1, 4, 7, 10, 13]
+        assert subring_hilbert(LINES32, 4, CTX32) == (1, 4, 7, 10, 13)
 
     def test_two_independent_lines(self):
         S = [line_of(C(1, 0), CTX32), line_of(C(0, 1), CTX32)]
-        table = subring_hilbert(S, 5, CTX32)
-        assert table.as_list(5) == [1, 2, 3, 4, 5, 6]
+        assert subring_hilbert(S, 5, CTX32) == (1, 2, 3, 4, 5, 6)
 
     def test_monotone_in_line_set(self):
         cutoff = 4
         subsets = [LINES32[:1], LINES32[:2], LINES32[:3], LINES32]
-        tables = [subring_hilbert(S, cutoff, CTX32).as_list(cutoff) for S in subsets]
+        tables = [subring_hilbert(S, cutoff, CTX32) for S in subsets]
         for small, big in zip(tables, tables[1:]):
             assert all(a <= b for a, b in zip(small, big))
 
@@ -358,6 +392,22 @@ class TestFractionArithmetic:
         b = embed(SuperMonomial.u(l2), CTX32)
         assert ((a + b) - b).equals(a)
 
-    def test_table_as_list_pads_with_zero(self):
-        table = GradedDimensionTable({0: 1, 2: 5}, "oracle")
-        assert table.as_list(3) == [1, 0, 5, 0]
+
+def reference_times_x(n, s):
+    """The table _times_x built from dicts: each degree-(s+1) monomial, as a
+    sorted tuple of variable indices, mapped to its index."""
+    monos = itertools.combinations_with_replacement(range(n), s + 1)
+    upper = {mono: j for j, mono in enumerate(monos)}
+    return np.array(
+        [
+            [upper[tuple(sorted(mono + (i,)))] for i in range(n)]
+            for mono in itertools.combinations_with_replacement(range(n), s)
+        ],
+        dtype=np.intp,
+    ).reshape(-1, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_times_x_matches_the_dict_built_table(n):
+    for s in range(7):
+        assert np.array_equal(oracle._times_x(n, s), reference_times_x(n, s)), (n, s)

@@ -47,6 +47,7 @@ def test_bench_writes_its_report(tmp_path):
     job, lz, rt = report["jobs"]
     assert job["job"] == "phi-verify --p 3 --n 2 --cutoff 3"
     assert job["exit"] == [0] and len(job["wall_s"]) == 2 and len(job["stdout_sha256"]) == 1
+    assert job["closed_form_s"] >= 0
     weights = job["weights"]
     assert [w["weight"] for w in weights] == [0, 1, 2, 3]
     assert [w["presentation_dim"] for w in weights] == [w["oracle_dim"] for w in weights] == [1, 4, 7, 10]
@@ -57,7 +58,7 @@ def test_bench_writes_its_report(tmp_path):
     assert (lz["job"], rt["job"]) == (localize, ro_table)
     for other in (lz, rt):
         assert len(other["wall_s"]) == 2 and len(other["stdout_sha256"]) == 1
-        assert "weights" not in other
+        assert "weights" not in other and "closed_form_s" not in other
     assert set(lz["exit"]) <= {0, 1} and rt["exit"] == [0]
 
 

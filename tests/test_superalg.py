@@ -1,6 +1,6 @@
 import random
-from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,9 +16,10 @@ from phiring.superalg import (
     free_monomials,
     merge_odd,
     monomial_basis,
+    monomial_codes,
     quotient_dimension,
 )
-from monomial_reference import reference_free_monomials
+from monomial_reference import encode, reference_free_monomials
 
 CTX32 = GroupContext(3, 2)
 LINES32 = enumerate_lines(CTX32)
@@ -162,26 +163,23 @@ class TestFreeMonomials:
 
     @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
     def test_shuffled_keys_follow_their_positions(self, p, n):
-        # odd length, then the increasing tuple of the odd generators'
-        # positions in gens, then the t-vector indexed by position
+        # the monomials are those of the sorted keys, in the same order
         ctx = GroupContext(p, n)
         rng = random.Random(100 * p + n)
         for keys in (enumerate_lines(ctx), tuple(enumerate_characters(ctx))):
             for g in range(2, min(7, len(keys)) + 1):
                 gens = rng.sample(keys, g)
-                position = {k: i for i, k in enumerate(gens)}
-
-                def order(m):
-                    t_vec = [0] * g
-                    for k, e in m.t_exp:
-                        t_vec[position[k]] = e
-                    return (m.odd_degree, tuple(sorted(position[k] for k in m.u_set)), tuple(t_vec))
-
                 for w in range(9):
-                    ms = free_monomials(gens, w)
-                    assert Counter(ms) == Counter(reference_free_monomials(gens, w)), (gens, w)
-                    ranks = [order(m) for m in ms]
-                    assert all(a < b for a, b in zip(ranks, ranks[1:])), (gens, w)
+                    expected = reference_free_monomials(sorted(gens), w)
+                    assert free_monomials(gens, w) == expected, (gens, w)
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 4, 6])
+    def test_codes_encode_the_reference(self, g):
+        keys = tuple(sorted(enumerate_characters(GroupContext(7, 2))))[:g]
+        for w in range(9):
+            codes = monomial_codes(g, w)
+            assert np.array_equal(codes, encode(reference_free_monomials(keys, w), keys)[1]), w
+            assert codes.shape[1] == max(g, 1) and codes.dtype == np.uint8
 
     def test_count_rejects_negative(self):
         for args in ((-1, 0), (0, -1), (3, -2)):
@@ -251,7 +249,7 @@ class TestQuotient:
             pres = build_phi_presentation(ctx)
             for w in range(5):
                 basis = monomial_basis(pres, w)
-                assert span_rank(basis, w, ctx) == len(basis)
+                assert span_rank(*encode(basis, pres.gens), w, ctx) == len(basis)
                 assert len(basis) == quotient_dimension(pres, w)
 
     def test_rank_independent_of_relation_order(self):
