@@ -3,7 +3,7 @@
 Every subcommand builds a plain-dict report, serializes it as csv or json,
 and exits 0 only when all verification flags in the report are true (1 on a
 failed flag, 2 on usage errors).  Output is byte-deterministic for a fixed
-config, including the seed.
+config, including localize's --seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 from . import charspace, modp, oracle, phi, rograde, ssq, superalg
@@ -29,29 +28,7 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class JobConfig:
-    command: str
-    p: int | None = None
-    n: int | None = None
-    cutoff: int | None = None
-    arrangement: tuple[int, int, list] | None = None  # (p, n, rows) of the file
-    fmt: str = "csv"
-    verbatim: bool = False
-    seed: int = 0
-    weight: int | None = None
-    mult: tuple[tuple[tuple[int, ...], int], ...] = ()
-    k: int | None = None
-    max_mult: int = 0
-    k_min: int = 0
-    k_max: int = 0
-    sample: int | None = None
-    sample_max_size: int = 4
-    column_budget: int = DEFAULT_COLUMN_BUDGET
-    lines_spec: str = ""
-
-
-def _context(config: JobConfig) -> GroupContext:
+def _context(config: argparse.Namespace) -> GroupContext:
     """The group of the job; an arrangement file names it, and --p/--n must
     then agree with the file."""
     p, n = config.p, config.n
@@ -72,13 +49,15 @@ def _context(config: JobConfig) -> GroupContext:
         raise UsageError(str(exc)) from None
 
 
-def _require_cutoff(config: JobConfig) -> int:
+def _require_cutoff(config: argparse.Namespace) -> int:
     if config.cutoff is None or config.cutoff < 0:
         raise UsageError("--cutoff must be a nonnegative integer")
     return config.cutoff
 
 
-def _check_budget(num_gens: int, weight: int, ctx: GroupContext, config: JobConfig) -> None:
+def _check_budget(
+    num_gens: int, weight: int, ctx: GroupContext, config: argparse.Namespace
+) -> None:
     """Refuse, before any work, a job whose matrices exceed the column budget
     or whose prime is too large for exact elimination.  The presentation's
     blocks have at most `estimate` columns and the oracle's at most
@@ -136,14 +115,14 @@ def _bool_str(b: bool) -> str:
 # the report.
 
 
-def _cmd_lines(config: JobConfig, ctx: GroupContext):
+def _cmd_lines(config: argparse.Namespace, ctx: GroupContext):
     lines = charspace.enumerate_lines(ctx)
     report = {"count": len(lines), "lines": [list(line.rep.coords) for line in lines]}
     rows = [[_coords_str(line.rep.coords)] for line in lines]
     return report, rows, True
 
 
-def _cmd_fn_enum(config: JobConfig, ctx: GroupContext):
+def _cmd_fn_enum(config: argparse.Namespace, ctx: GroupContext):
     subsets = charspace.enumerate_Fn(ctx)
     report = {
         "count": len(subsets),
@@ -155,15 +134,15 @@ def _cmd_fn_enum(config: JobConfig, ctx: GroupContext):
     return report, rows, True
 
 
-def _cmd_series(config: JobConfig, ctx: GroupContext):
+def _cmd_series(config: argparse.Namespace, ctx: GroupContext):
     cutoff = _require_cutoff(config)
-    series = phi.closed_form_series(ctx, cutoff)
-    report = {"cutoff": cutoff, "coeffs": list(series.coeffs)}
-    rows = [[str(c) for c in series.coeffs]]
+    coeffs = phi.closed_form_series(ctx, cutoff)
+    report = {"cutoff": cutoff, "coeffs": list(coeffs)}
+    rows = [[str(c) for c in coeffs]]
     return report, rows, True
 
 
-def _cmd_phi_verify(config: JobConfig, ctx: GroupContext):
+def _cmd_phi_verify(config: argparse.Namespace, ctx: GroupContext):
     cutoff = _require_cutoff(config)
     gens = ctx.num_characters if config.verbatim else ctx.num_lines
     _check_budget(gens, cutoff, ctx, config)
@@ -186,7 +165,7 @@ def _cmd_phi_verify(config: JobConfig, ctx: GroupContext):
     return report, rows, rep.ok
 
 
-def _cmd_phi_basis(config: JobConfig, ctx: GroupContext):
+def _cmd_phi_basis(config: argparse.Namespace, ctx: GroupContext):
     if config.weight is None or config.weight < 0:
         raise UsageError("--weight must be a nonnegative integer")
     gens = ctx.num_characters if config.verbatim else ctx.num_lines
@@ -203,17 +182,16 @@ def _cmd_phi_basis(config: JobConfig, ctx: GroupContext):
     return report, rows, True
 
 
-def _cmd_page_table(page_table, config: JobConfig, ctx: GroupContext):
-    """e1-table and e2-table: page_table is ssq.e1_table or ssq.e2_table."""
+def _cmd_page_table(page_dim, config: argparse.Namespace, ctx: GroupContext):
+    """e1-table and e2-table: page_dim is ssq.e1_dim or ssq.e2_dim."""
     cutoff = _require_cutoff(config)
-    table = page_table(ctx, cutoff)
-    entries = [[table.entries[(s, d)] for d in range(cutoff + 1)] for s in range(cutoff + 1)]
+    entries = [[page_dim(ctx, s, d) for d in range(cutoff + 1)] for s in range(cutoff + 1)]
     rows = [["s"] + [str(d) for d in range(cutoff + 1)]]
     rows.extend([str(s)] + [str(v) for v in row] for s, row in enumerate(entries))
     return {"cutoff": cutoff, "entries": entries}, rows, True
 
 
-def _cmd_collapse_check(config: JobConfig, ctx: GroupContext):
+def _cmd_collapse_check(config: argparse.Namespace, ctx: GroupContext):
     cutoff = _require_cutoff(config)
     rep = ssq.collapse_check(ctx, cutoff)
     report = {
@@ -232,19 +210,28 @@ def _cmd_collapse_check(config: JobConfig, ctx: GroupContext):
     return report, rows, rep.ok
 
 
-def _parse_mult(config: JobConfig, ctx: GroupContext) -> dict[Character, int]:
+def _parse_mult(text: str, ctx: GroupContext) -> dict[Character, int]:
+    """--mult 'coords:count;...' as counts per character; the counts of a
+    character given twice add up."""
     mults: dict[Character, int] = {}
-    for coords, count in config.mult:
-        chi = _parse_character(",".join(str(v) for v in coords), ctx, "--mult")
-        mults[chi] = mults.get(chi, 0) + count
+    for item in text.split(";") if text else ():
+        coords, colon, count = item.rpartition(":")
+        if not colon:
+            raise UsageError("--mult item %r must look like coords:count" % item)
+        chi = _parse_character(coords, ctx, "--mult")
+        try:
+            mults[chi] = mults.get(chi, 0) + int(count)
+        except ValueError:
+            raise UsageError("--mult item %r has a non-integer count" % item) from None
     return mults
 
 
-def _cmd_ro_dim(config: JobConfig, ctx: GroupContext):
+def _cmd_ro_dim(config: argparse.Namespace, ctx: GroupContext):
+    mults = _parse_mult(config.mult, ctx)
     if config.k is None:
         raise UsageError("--k is required")
     try:
-        md = rograde.multidegree(ctx, _parse_mult(config, ctx), config.k)
+        md = rograde.multidegree(ctx, mults, config.k)
     except ValueError as exc:
         raise UsageError("--mult: %s" % exc) from None
     # ro_dimension builds no matrix.  The guard is kept, sized by the free
@@ -266,7 +253,7 @@ def _md_str(md: rograde.MultiDegree) -> str:
     return ";".join("%s:%d" % (_coords_str(label.rep.coords), m) for label, m in md.m)
 
 
-def _cmd_ro_table(config: JobConfig, ctx: GroupContext):
+def _cmd_ro_table(config: argparse.Namespace, ctx: GroupContext):
     if config.max_mult < 0:
         raise UsageError("--max-mult must be nonnegative")
     if config.k_max < config.k_min:
@@ -286,7 +273,7 @@ def _cmd_ro_table(config: JobConfig, ctx: GroupContext):
     return report, rows, True
 
 
-def _cmd_localize(config: JobConfig, ctx: GroupContext):
+def _cmd_localize(config: argparse.Namespace, ctx: GroupContext):
     arrangements = []
     if config.arrangement is not None:
         rows = (",".join(map(str, row)) for row in config.arrangement[2])
@@ -331,7 +318,7 @@ def _cmd_localize(config: JobConfig, ctx: GroupContext):
     return report, rows, report["ok"]
 
 
-def _cmd_relation_check(config: JobConfig, ctx: GroupContext):
+def _cmd_relation_check(config: argparse.Namespace, ctx: GroupContext):
     pres = phi.build_phi_presentation(ctx, verbatim_mode=config.verbatim)
     vanished = 0
     for rel in pres.relations:
@@ -351,7 +338,7 @@ def _cmd_relation_check(config: JobConfig, ctx: GroupContext):
 # ------------------------------------------------------------ command table
 #
 # Flags are (name, argparse keywords) and go after --p and --n in this
-# order; each dest is a JobConfig field.
+# order; this table is the one definition of each flag and its default.
 
 _CUTOFF = ("--cutoff", dict(type=int, help="largest weight computed"))
 _WEIGHT = ("--weight", dict(type=int, help="weight of the graded piece"))
@@ -359,10 +346,7 @@ _VERBATIM = ("--verbatim", dict(
     action="store_true",
     help="use the character-indexed presentation with no u identification",
 ))
-_OUTPUT = (
-    ("--format", dict(dest="fmt", choices=("csv", "json"), default="csv")),
-    ("--seed", dict(type=int, default=0)),
-)
+_OUTPUT = (("--format", dict(dest="fmt", choices=("csv", "json"), default="csv")),)
 
 _COMMANDS = (
     ("lines", "list the canonical line representatives", _cmd_lines, _OUTPUT),
@@ -372,9 +356,9 @@ _COMMANDS = (
      (_CUTOFF, _VERBATIM, *_OUTPUT)),
     ("phi-basis", "monomial basis of one graded piece", _cmd_phi_basis,
      (_WEIGHT, _VERBATIM, *_OUTPUT)),
-    ("e1-table", "first-page dimensions", partial(_cmd_page_table, ssq.e1_table),
+    ("e1-table", "first-page dimensions", partial(_cmd_page_table, ssq.e1_dim),
      (_CUTOFF, *_OUTPUT)),
-    ("e2-table", "second-page dimensions", partial(_cmd_page_table, ssq.e2_table),
+    ("e2-table", "second-page dimensions", partial(_cmd_page_table, ssq.e2_dim),
      (_CUTOFF, *_OUTPUT)),
     ("collapse-check", "second page against the closed form", _cmd_collapse_check,
      (_CUTOFF, *_OUTPUT)),
@@ -396,6 +380,7 @@ _COMMANDS = (
         ("--arrangement", dict(help="JSON file {p, n, lines}")),
         ("--sample", dict(type=int, help="number of random arrangements")),
         ("--sample-max-size", dict(type=int, default=4)),
+        ("--seed", dict(type=int, default=0, help="seed of the --sample draw")),
     )),
     ("relation-check", "verify every relation vanishes in the oracle", _cmd_relation_check,
      (_VERBATIM, *_OUTPUT)),
@@ -403,7 +388,7 @@ _COMMANDS = (
 _HANDLERS = {name: handler for name, _, handler, _ in _COMMANDS}
 
 
-def run(config: JobConfig) -> tuple[int, str]:
+def run(config: argparse.Namespace) -> tuple[int, str]:
     """Dispatch one job; returns (exit status, serialized report)."""
     handler = _HANDLERS.get(config.command)
     if handler is None:
@@ -434,23 +419,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for flag, kwargs in flags:
             sp.add_argument(flag, **kwargs)
     return parser
-
-
-def _parse_mult_spec(text: str) -> tuple[tuple[tuple[int, ...], int], ...]:
-    if not text:
-        return ()
-    out = []
-    for item in text.split(";"):
-        if ":" not in item:
-            raise UsageError("--mult item %r must look like coords:count" % item)
-        coords_text, count_text = item.rsplit(":", 1)
-        try:
-            coords = tuple(int(v) for v in coords_text.split(","))
-            count = int(count_text)
-        except ValueError:
-            raise UsageError("--mult item %r is malformed" % item) from None
-        out.append((coords, count))
-    return tuple(out)
 
 
 def _read_arrangement_file(path: str):
@@ -490,15 +458,14 @@ def _env_int(name: str, default: int) -> int:
     return value
 
 
-def config_from_args(argv) -> JobConfig:
-    fields = vars(_build_parser().parse_args(argv))
-    budget = _env_int(BUDGET_ENV, DEFAULT_COLUMN_BUDGET)
-    if "mult" in fields:
-        fields["mult"] = _parse_mult_spec(fields["mult"])
-    if "arrangement" in fields:
-        path = fields["arrangement"]
-        fields["arrangement"] = _read_arrangement_file(path) if path else None
-    return JobConfig(**fields, column_budget=budget)
+def config_from_args(argv) -> argparse.Namespace:
+    """The parsed flags, plus the column budget and, as `arrangement`, the
+    (p, n, rows) of the --arrangement file (None without one)."""
+    config = _build_parser().parse_args(argv)
+    config.column_budget = _env_int(BUDGET_ENV, DEFAULT_COLUMN_BUDGET)
+    path = getattr(config, "arrangement", None)
+    config.arrangement = _read_arrangement_file(path) if path else None
+    return config
 
 
 def main(argv=None) -> int:

@@ -34,16 +34,6 @@ from .oracle import subring_hilbert
 from .superalg import Presentation, SuperElement, SuperMonomial, quotient_dimension
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
-    coeffs: tuple[int, ...]
-    source: str
-
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[0] != 1:
-            raise ValueError("a unital ring has dimension 1 in weight 0")
-
-
 def _t(p: int, key, scale_inv: int = 1) -> SuperElement:
     return SuperElement.from_monomial(p, SuperMonomial.t(key), scale_inv)
 
@@ -154,8 +144,9 @@ def build_phi_presentation(ctx: GroupContext, verbatim_mode: bool = False) -> Pr
     return line_presentation(ctx, enumerate_lines(ctx))
 
 
-def closed_form_series(ctx: GroupContext, cutoff: int) -> HilbertSeries:
-    """Exact expansion of prod_{i=1..n} (1 + (p^(i-1)-1) x) / (1-x)^n."""
+def closed_form_series(ctx: GroupContext, cutoff: int) -> tuple[int, ...]:
+    """Coefficients, weights 0..cutoff, of the exact expansion of
+    prod_{i=1..n} (1 + (p^(i-1)-1) x) / (1-x)^n."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     numerator = [1]
@@ -169,7 +160,7 @@ def closed_form_series(ctx: GroupContext, cutoff: int) -> HilbertSeries:
             for j in range(min(w, len(numerator) - 1) + 1)
         )
         coeffs.append(total)
-    return HilbertSeries(tuple(coeffs), "closed-form")
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -228,6 +219,6 @@ def verify_phi(ctx: GroupContext, cutoff: int, verbatim_mode: bool = False) -> C
     cutoff; weightwise equality of all three tables certifies the
     presentation through the cutoff.
     """
-    closed = closed_form_series(ctx, cutoff).coeffs
+    closed = closed_form_series(ctx, cutoff)
     pres = build_phi_presentation(ctx, verbatim_mode)
     return compare_routes(ctx, enumerate_lines(ctx), pres, cutoff, closed)

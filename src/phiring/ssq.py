@@ -57,35 +57,7 @@ def e2_total(ctx: GroupContext, d: int) -> int:
 
 
 @dataclass
-class PageTable:
-    """Entries (filtration s, total weight d) -> dimension."""
-
-    entries: dict[tuple[int, int], int]
-    label: str
-
-
-def e1_table(ctx: GroupContext, cutoff: int) -> PageTable:
-    entries = {
-        (s, d): e1_dim(ctx, s, d)
-        for s in range(cutoff + 1)
-        for d in range(cutoff + 1)
-    }
-    return PageTable(entries, "E1")
-
-
-def e2_table(ctx: GroupContext, cutoff: int) -> PageTable:
-    entries = {
-        (s, d): e2_dim(ctx, s, d)
-        for s in range(cutoff + 1)
-        for d in range(cutoff + 1)
-    }
-    return PageTable(entries, "E2")
-
-
-@dataclass
 class CollapseReport:
-    ctx: GroupContext
-    cutoff: int
     e2_totals: tuple[int, ...]
     closed_form: tuple[int, ...]
     dominated: bool  # second page <= first page entrywise
@@ -102,11 +74,11 @@ class CollapseReport:
 def collapse_check(ctx: GroupContext, cutoff: int) -> CollapseReport:
     """Degreewise consistency of collapse: second-page totals must equal the
     closed-form coefficients, and the second page can never exceed the first."""
-    closed = closed_form_series(ctx, cutoff).coeffs
+    closed = closed_form_series(ctx, cutoff)
     totals = tuple(e2_total(ctx, d) for d in range(cutoff + 1))
     dominated = all(
         e2_dim(ctx, s, d) <= e1_dim(ctx, s, d)
         for s in range(cutoff + 1)
         for d in range(cutoff + 1)
     )
-    return CollapseReport(ctx, cutoff, totals, closed, dominated)
+    return CollapseReport(totals, closed, dominated)

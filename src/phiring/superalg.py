@@ -143,14 +143,6 @@ class SuperElement:
             raise ValueError("inhomogeneous element, weights %s" % sorted(ws))
         return ws.pop()
 
-    def odd_degree(self) -> int | None:
-        ds = {m.odd_degree for m in self.terms}
-        if not ds:
-            return None
-        if len(ds) > 1:
-            raise ValueError("mixed odd degree")
-        return ds.pop()
-
     def __add__(self, other: "SuperElement") -> "SuperElement":
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -212,12 +204,6 @@ class Presentation:
                     raise ValueError("relation uses a generator outside the arrangement")
 
 
-def free_monomials(gens: Sequence, weight: int) -> list[SuperMonomial]:
-    """All monomials of exact weight on the given generator keys, in
-    monomial_codes order on sorted(gens)."""
-    return _decode(monomial_codes(len(gens), weight), sorted(gens))
-
-
 def exponent_rows(n: int, degree: int) -> np.ndarray:
     """Exponent vectors of the degree-d monomials in n >= 1 variables, one
     row each, in the order of combinations_with_replacement(range(n), d),
@@ -265,7 +251,8 @@ def _decode(codes: np.ndarray, keys: Sequence) -> list[SuperMonomial]:
 
 
 def free_monomial_count(num_gens: int, weight: int) -> int:
-    """Length of free_monomials on g = num_gens generator pairs: the series
+    """Number of free monomials of the weight on g = num_gens generator
+    pairs, the rows of monomial_codes: the series
     (1+x)^g / (1-x^2)^g is 1/(1-x)^g, so it is C(weight + g - 1, g - 1)."""
     if num_gens < 0 or weight < 0:
         raise ValueError("arguments must be nonnegative")

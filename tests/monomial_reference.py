@@ -1,14 +1,14 @@
 """Reference for the free monomials: the sort-based enumeration that
-superalg.free_monomials must reproduce exactly for sorted generator keys,
-and the encoding of monomials as the code rows that oracle.span_rank
-reads."""
+free_monomials, the decode of superalg.monomial_codes, must reproduce
+exactly for sorted generator keys, and the encoding of monomials as the
+code rows that oracle.span_rank reads."""
 
 import itertools
 from typing import Sequence
 
 import numpy as np
 
-from phiring.superalg import SuperMonomial
+from phiring.superalg import SuperMonomial, _decode, monomial_codes
 
 
 def _monomial_sort_key(gens: Sequence):
@@ -53,6 +53,12 @@ def reference_free_monomials(gens: Sequence, weight: int) -> list[SuperMonomial]
                 out.append(SuperMonomial(t_exp, u_keys))
     out.sort(key=_monomial_sort_key(tuple(gens)))
     return out
+
+
+def free_monomials(gens: Sequence, weight: int) -> list[SuperMonomial]:
+    """All monomials of exact weight on the given generator keys, in
+    monomial_codes order on sorted(gens)."""
+    return _decode(monomial_codes(len(gens), weight), sorted(gens))
 
 
 def encode(ms: Sequence[SuperMonomial], keys: Sequence | None = None):

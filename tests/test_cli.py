@@ -70,7 +70,9 @@ class TestVerify:
             ["phi-verify", "--p", "3", "--n", "2", "--cutoff", "3", "--format", "json"], capsys
         )
         assert code == 0
-        config = cli.JobConfig(command="phi-verify", p=3, n=2, cutoff=3, fmt="json")
+        config = cli.config_from_args(
+            ["phi-verify", "--p", "3", "--n", "2", "--cutoff", "3", "--format", "json"]
+        )
         _, text = cli.run(config)
         assert json.loads(out) == json.loads(text)
 
@@ -189,6 +191,32 @@ class TestUsageErrors:
         assert proc.stdout == b""
         assert b"too large for exact elimination" in proc.stderr
 
+    @pytest.mark.parametrize("item", ["1,0", "1,x:1", "1,0:z", "1,0,0:1"])
+    def test_malformed_mult_refused_before_any_work(self, item, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("ro_dimension called")
+
+        monkeypatch.setattr(rograde, "ro_dimension", no_work)
+        code, out, err = run_cli(["ro-dim", "--p", "3", "--n", "2", "--mult", item, "--k", "2"],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert "--mult" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["series", "--cutoff", "3"], ["lines"], ["fn-enum"], ["phi-verify", "--cutoff", "3"],
+         ["phi-basis", "--weight", "2"], ["e1-table", "--cutoff", "3"],
+         ["e2-table", "--cutoff", "3"], ["collapse-check", "--cutoff", "3"],
+         ["ro-dim", "--mult", "1,0:1", "--k", "2"], ["ro-table"], ["relation-check"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_only_on_localize(self, argv, capsys):
+        # only localize draws a --sample; no other command takes --seed
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], "--p", "3", "--n", "2", *argv[1:], "--seed", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_ro_table_budget_refusal(self, capsys):
         os.environ[cli.BUDGET_ENV] = "10"
         try:
@@ -251,6 +279,24 @@ class TestArrangementFile:
         assert code == 2
         assert out == ""
         assert err.startswith("error: arrangement file ")
+
+
+class TestDefaults:
+    # each flag's default is defined once, in the command table
+    @pytest.mark.parametrize(
+        "argv,defaults",
+        [
+            (["ro-table", "--p", "3", "--n", "2"],
+             ["--max-mult", "2", "--k-min", "0", "--k-max", "4"]),
+            (["localize", "--p", "3", "--n", "3", "--cutoff", "3", "--sample", "2"],
+             ["--seed", "0", "--sample-max-size", "4"]),
+        ],
+        ids=["ro-table", "localize"],
+    )
+    def test_defaults_spelled_out_change_nothing(self, argv, defaults, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, out) == run_cli(argv + defaults, capsys)[:2]
+        assert out
 
 
 class TestSampling:
@@ -367,6 +413,41 @@ class TestRoTableGolden:
     def test_ro_dim_two_labels_on_one_line(self, fmt, digest, capsys):
         argv = "--p 5 --n 2 --mult 1,0:1;2,0:1 --k 3 --format %s" % fmt
         code, out, _ = run_cli(["ro-dim", *argv.split()], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestRelationCheckGolden:
+    # SHA-256 of stdout, recorded while the oracle's fraction arithmetic
+    # (PolyExtElement, embed) still lived in src/phiring/oracle.py
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("--p 3 --n 2", "fdb825a2cc6e6442ea2dc81e6e58dbb2717b582e47b73e23542a0e1fa6311f8b"),
+            ("--p 3 --n 2 --format json",
+             "d0c5d0a0352c97e637b54830519fdccb05c63116c1e2aa0b02aef9dc5a6cda0d"),
+            ("--p 3 --n 2 --verbatim",
+             "f6349c2526ea9d27b01d0bcd523e287da6117a70244f6f469adecb6f8c840607"),
+            ("--p 3 --n 2 --verbatim --format json",
+             "445083b7ceae53ece2ba61cbac3c7e1ab9a441f3b99cd07a35dead4e79744a24"),
+            ("--p 5 --n 2", "5738d00fa92a4138193cf518f4a76d8b014f8daa58b8bea7bdc7e4dfa59a579d"),
+            ("--p 5 --n 2 --format json",
+             "7ba703ab3b7ac3a46afd7150bfdc66b51d30a4a9f3e9b5378e81eb256f71311c"),
+            ("--p 5 --n 2 --verbatim",
+             "cd9ed725b497fd2a2418ff1dcac26914e535396690123d157be0e78b864888d2"),
+            ("--p 5 --n 2 --verbatim --format json",
+             "ea31be69177287bd6f44ebf304046217a77732d093a549dc95c8e37572938ac4"),
+            ("--p 3 --n 3", "7d4d66c475fa92a6ff4323bf327f99c055d8cb1a20c817915e20c7f0bee7c8b9"),
+            ("--p 3 --n 3 --format json",
+             "014d114772fc1430635492cc9fb21d06666d6d2dadd6f338e6b4b5b764f172f6"),
+            ("--p 3 --n 3 --verbatim",
+             "f6f627a55868b90c0d1cda1432d23e7d101d95a88f008d29911ab7007593743c"),
+            ("--p 3 --n 3 --verbatim --format json",
+             "b8492adf249c7cc87e4710e7aa9c8fb5460cefdd289a04600ea0d7b360e97030"),
+        ],
+    )
+    def test_stdout_digest(self, argv, digest, capsys):
+        code, out, _ = run_cli(["relation-check", *argv.split()], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

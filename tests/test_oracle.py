@@ -21,8 +21,8 @@ from phiring.oracle import (
     subring_hilbert,
 )
 from phiring.phi import build_phi_presentation, relation_families
-from phiring.superalg import SuperElement, SuperMonomial, free_monomials, monomial_codes
-from monomial_reference import encode
+from phiring.superalg import SuperElement, SuperMonomial, monomial_codes
+from monomial_reference import encode, free_monomials
 from ro_reference import ro_words
 
 
@@ -127,6 +127,16 @@ class TestRelationImages:
         pres = build_phi_presentation(ctx)
         for rel in pres.relations:
             assert relation_image(rel, ctx).is_zero()
+
+    def test_scaled_term_breaks_every_relation(self):
+        # relation-check counts vanished relations; a wrong coefficient on
+        # any one term of any (3,3) relation must leave a nonzero image
+        ctx = GroupContext(3, 3)
+        for rel in build_phi_presentation(ctx).relations:
+            for m, c in rel.terms.items():
+                terms = dict(rel.terms)
+                terms[m] = 2 * c
+                assert not relation_image(SuperElement(ctx.p, terms), ctx).is_zero(), (rel, m)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_collinear_triples_rewrite_to_zero(self, p):

@@ -13,13 +13,12 @@ from phiring.superalg import (
     SuperElement,
     SuperMonomial,
     free_monomial_count,
-    free_monomials,
     merge_odd,
     monomial_basis,
     monomial_codes,
     quotient_dimension,
 )
-from monomial_reference import encode, reference_free_monomials
+from monomial_reference import encode, free_monomials, reference_free_monomials
 
 CTX32 = GroupContext(3, 2)
 LINES32 = enumerate_lines(CTX32)
