@@ -62,24 +62,22 @@ def _check_budget(
     or whose prime is too large for exact elimination.  The presentation's
     blocks have at most `estimate` columns and the oracle's at most
     `estimate` rows, so modp.check_exact for that many terms, the one float64
-    bound, covers all the job's elimination; the oracle's int64 products of
-    linear forms are exact while n*(p-1)^2 < 2^63."""
+    bound, covers all the job's elimination; oracle.check_products_exact
+    states the int64 bound of the oracle's products of linear forms."""
     estimate = superalg.free_monomial_count(num_gens, weight)
     if estimate > config.column_budget:
         raise UsageError(
             "cutoff too large: weight %d needs ~%d matrix columns, budget is %d "
             "(raise %s to override)" % (weight, estimate, config.column_budget, BUDGET_ENV)
         )
-    refusal = UsageError(
-        "p = %d is too large for exact elimination at weight %d (~%d columns)"
-        % (ctx.p, weight, estimate)
-    )
     try:
         modp.check_exact(estimate, ctx.p)
+        oracle.check_products_exact(ctx.n, ctx.p)
     except ValueError:
-        raise refusal from None
-    if ctx.n * (ctx.p - 1) ** 2 >= 2**63:
-        raise refusal
+        raise UsageError(
+            "p = %d is too large for exact elimination at weight %d (~%d columns)"
+            % (ctx.p, weight, estimate)
+        ) from None
 
 
 def _parse_character(text: str, ctx: GroupContext, flag: str) -> Character:

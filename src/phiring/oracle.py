@@ -7,16 +7,17 @@ The even/odd generator pair attached to a line embeds as
 
     t = 1/z,    u = dz/z,
 
-and all equality and rank questions are settled on cleared numerators: the
-z's are nonzero divisors, so multiplying up to a common denominator is
-faithful and no fraction normal form is ever needed.
+and every rank and vanishing question is settled on cleared numerators:
+span_rank and relation_image each bring their images to one componentwise
+max denominator and work on the numerators.  The z's are nonzero divisors,
+so clearing is faithful and no fraction arithmetic is needed; embed gives a
+monomial's image as the pair (numerator, denominator exponents).
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Sequence
@@ -74,12 +75,6 @@ class PolyExtElement:
             else:
                 out.pop(key, None)
         return PolyExtElement(self.p, self.n, out)
-
-    def __neg__(self) -> "PolyExtElement":
-        return PolyExtElement(self.p, self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "PolyExtElement") -> "PolyExtElement":
-        return self + (-other)
 
     def scale(self, k: int) -> "PolyExtElement":
         return PolyExtElement(self.p, self.n, {key: c * k for key, c in self.terms.items()})
@@ -139,63 +134,12 @@ def d_euler_class(chi: Character | Line, ctx: GroupContext) -> PolyExtElement:
     return PolyExtElement(ctx.p, ctx.n, terms)
 
 
-@dataclass
-class LocalizedBorelElement:
-    """A fraction numerator / prod_L z_L^denom_exp[L]."""
-
-    numerator: PolyExtElement
-    denom_exp: dict[Line, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.denom_exp = {L: e for L, e in self.denom_exp.items() if e}
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def scale(self, k: int) -> "LocalizedBorelElement":
-        return LocalizedBorelElement(self.numerator.scale(k), dict(self.denom_exp))
-
-    def __mul__(self, other: "LocalizedBorelElement") -> "LocalizedBorelElement":
-        denom = dict(self.denom_exp)
-        for L, e in other.denom_exp.items():
-            denom[L] = denom.get(L, 0) + e
-        return LocalizedBorelElement(self.numerator * other.numerator, denom)
-
-    def __add__(self, other: "LocalizedBorelElement") -> "LocalizedBorelElement":
-        n1, n2, denom, ctx = _on_common_denominator(self, other)
-        return LocalizedBorelElement(n1 + n2, denom)
-
-    def __sub__(self, other: "LocalizedBorelElement") -> "LocalizedBorelElement":
-        return self + other.scale(-1)
-
-    def equals(self, other: "LocalizedBorelElement") -> bool:
-        """Equality after cross-multiplication; faithful since every z_L is
-        a nonzero divisor."""
-        n1, n2, _, _ = _on_common_denominator(self, other)
-        return n1 == n2
-
-
-def _ctx_of(num: PolyExtElement) -> GroupContext:
-    return GroupContext(num.p, num.n)
-
-
-def _on_common_denominator(a: LocalizedBorelElement, b: LocalizedBorelElement):
-    ctx = _ctx_of(a.numerator)
-    lines = sorted(set(a.denom_exp) | set(b.denom_exp))
-    denom = {L: max(a.denom_exp.get(L, 0), b.denom_exp.get(L, 0)) for L in lines}
-    na, nb = a.numerator, b.numerator
-    for L in lines:
-        for _ in range(denom[L] - a.denom_exp.get(L, 0)):
-            na = na * euler_class(L, ctx)
-        for _ in range(denom[L] - b.denom_exp.get(L, 0)):
-            nb = nb * euler_class(L, ctx)
-    return na, nb, denom, ctx
-
-
-def embed(m: SuperMonomial, ctx: GroupContext) -> LocalizedBorelElement:
-    """Image of a monomial: t -> 1/z, u -> dz/z, with scalars rewritten into
-    the numerator when keys are raw characters (z of k*chi is k times z of
-    chi, so t over k*chi is 1/k times t over chi, and u is unchanged)."""
+def embed(m: SuperMonomial, ctx: GroupContext) -> tuple[PolyExtElement, dict[Line, int]]:
+    """Image of a monomial as the pair (numerator, denom_exp), the fraction
+    numerator / prod_L z_L^denom_exp[L]: t -> 1/z, u -> dz/z, with scalars
+    rewritten into the numerator when keys are raw characters (z of k*chi is
+    k times z of chi, so t over k*chi is 1/k times t over chi, and u is
+    unchanged)."""
     p = ctx.p
     coeff = 1
     denom: dict[Line, int] = {}
@@ -209,7 +153,7 @@ def embed(m: SuperMonomial, ctx: GroupContext) -> LocalizedBorelElement:
         line, _ = _line_scale(key, ctx)
         denom[line] = denom.get(line, 0) + 1
         num = num * d_euler_class(line, ctx)
-    return LocalizedBorelElement(num.scale(coeff), denom)
+    return num.scale(coeff), denom
 
 
 def _line_scale(key, ctx: GroupContext) -> tuple[Line, int]:
@@ -220,13 +164,33 @@ def _line_scale(key, ctx: GroupContext) -> tuple[Line, int]:
     raise TypeError("generator key must be a Line or Character, got %r" % (key,))
 
 
-def relation_image(rel: SuperElement, ctx: GroupContext) -> LocalizedBorelElement:
-    """Linear extension of embed; instantiated relations of a sound
-    presentation land on exactly 0 after clearing denominators."""
-    acc = LocalizedBorelElement(PolyExtElement.zero(ctx.p, ctx.n), {})
-    for m, c in sorted(rel.terms.items()):
-        acc = acc + embed(m, ctx).scale(c)
+def relation_image(rel: SuperElement, ctx: GroupContext) -> PolyExtElement:
+    """Numerator of the image of rel, the linear extension of embed, over
+    the componentwise max of its terms' denominators.  Every z is a nonzero
+    divisor, so this is 0 exactly when the image is; the instantiated
+    relations of a sound presentation land on 0."""
+    images = [(c, *embed(m, ctx)) for m, c in rel.terms.items()]
+    dmax: dict[Line, int] = {}
+    for _, _, denom in images:
+        for line, e in denom.items():
+            dmax[line] = max(dmax.get(line, 0), e)
+    acc = PolyExtElement.zero(ctx.p, ctx.n)
+    for c, num, denom in images:
+        for line, e in dmax.items():
+            for _ in range(e - denom.get(line, 0)):
+                num = num * euler_class(line, ctx)
+        acc = acc + num.scale(c)
     return acc
+
+
+def check_products_exact(n: int, p: int) -> None:
+    """Raise ValueError unless n*(p-1)^2 < 2^63, the bound under which the
+    int64 products of linear forms in _products are exact."""
+    if n * (p - 1) ** 2 >= 2**63:
+        raise ValueError(
+            "n*(p-1)^2 = %d is not below 2^63: int64 products of linear forms "
+            "would not be exact" % (n * (p - 1) ** 2)
+        )
 
 
 def span_rank(
@@ -255,11 +219,7 @@ def span_rank(
     eliminating them are added to times["rows_s"] and times["elim_s"].
     """
     start = time.perf_counter()
-    if ctx.n * (ctx.p - 1) ** 2 >= 2**63:
-        raise ValueError(
-            "n*(p-1)^2 = %d is not below 2^63: int64 products of linear forms "
-            "would not be exact" % (ctx.n * (ctx.p - 1) ** 2)
-        )
+    check_products_exact(ctx.n, ctx.p)
     codes = np.asarray(codes, dtype=np.int64)
     if (codes.sum(axis=1) != weight).any():
         raise ValueError("every code row must have weight %d" % weight)
@@ -337,7 +297,7 @@ def _products(forms: np.ndarray, p: int) -> np.ndarray:
     x_1..x_n), as rows over the degree-D monomials of _times_x's order.
 
     Entries before each reduction are sums of at most n products of two
-    residues, below 2^63 when n*(p-1)^2 is."""
+    residues, exact in int64 when check_products_exact(n, p) passes."""
     m, degree, n = forms.shape
     out = np.ones((m, 1), dtype=np.int64)
     for s in range(degree):

@@ -346,10 +346,11 @@ def _quotient_data(pres: Presentation, weight: int) -> tuple[np.ndarray, list[in
     """Eliminate the weight-w Macaulay matrix one odd-degree column block at
     a time; return its columns' monomial codes and its pivot columns.
 
-    monomial_codes lists one odd length at a time, in ascending
-    order, so each odd degree is a contiguous column range.  A relation whose terms share one odd degree lands every
-    row in a single block, so the blocks are independent; if some relation
-    mixes odd degrees the whole weight is one block.
+    monomial_codes lists one odd length at a time, in ascending order, so
+    each odd degree is a contiguous column range.  A relation whose terms
+    share one odd degree lands every row in a single block, so the blocks
+    are independent; if some relation mixes odd degrees the whole weight is
+    one block.
     """
     p = pres.ctx.p
     position = {k: i for i, k in enumerate(sorted(pres.gens))}

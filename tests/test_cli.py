@@ -18,7 +18,6 @@ def run_cli(argv, capsys):
 
 def run_proc(argv, env_extra=None, timeout=None):
     env = dict(os.environ)
-    env.pop("PHIRING_WORKERS", None)
     env.pop(cli.BUDGET_ENV, None)
     if env_extra:
         env.update(env_extra)
@@ -494,18 +493,18 @@ class TestDeterminism:
             ["localize", "--p", "3", "--n", "2", "--cutoff", "3", "--lines", "1,0;0,1;1,1"],
         ],
     )
-    def test_byte_identical_across_runs_and_worker_counts(self, argv):
+    def test_byte_identical_across_runs_and_hash_seeds(self, argv):
         outputs = set()
-        for workers in ("1", "4"):
+        for seed in ("0", "1"):
             for _ in range(2):
-                proc = run_proc(argv, {"PHIRING_WORKERS": workers})
+                proc = run_proc(argv, {"PYTHONHASHSEED": seed})
                 assert proc.returncode == 0
                 outputs.add(proc.stdout)
         assert len(outputs) == 1
 
-    def test_json_identical_across_worker_counts(self):
+    def test_json_identical_across_hash_seeds(self):
         argv = ["collapse-check", "--p", "3", "--n", "2", "--cutoff", "5", "--format", "json"]
-        a = run_proc(argv, {"PHIRING_WORKERS": "1"})
-        b = run_proc(argv, {"PHIRING_WORKERS": "4"})
+        a = run_proc(argv, {"PYTHONHASHSEED": "0"})
+        b = run_proc(argv, {"PYTHONHASHSEED": "1"})
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0

@@ -122,3 +122,34 @@ def test_float64_bound_stated_in_modp_only():
         if "2**53" in path.read_text(encoding="utf-8")
     )
     assert stated == ["modp.py"]
+
+
+def test_int64_bound_stated_in_oracle_only():
+    # one int64 bound for the oracle's products: oracle.check_products_exact
+    stated = {
+        path.relative_to(PACKAGE).as_posix(): path.read_text(encoding="utf-8").count("2**63")
+        for path in PACKAGE.rglob("*.py")
+    }
+    assert {name: count for name, count in stated.items() if count} == {"oracle.py": 1}
+
+
+def test_names_perfbench_wraps_exist():
+    # perfbench/spans.py wraps these by name, so renaming one breaks
+    # perfbench/run.py --trace 1
+    import importlib
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {mod: importlib.import_module("phiring." + mod) for mod, *_ in spans.ENTRY_POINTS}
+    missing = [
+        (mod, attr)
+        for mod, attr, *_ in spans.ENTRY_POINTS
+        if not callable(getattr(modules[mod], attr, None))
+    ]
+    assert missing == []
+    from phiring import modp, oracle
+
+    assert callable(vars(modp.RowReducer).get("add_row"))
+    assert callable(vars(oracle.PolyExtElement).get("__mul__"))
