@@ -61,9 +61,9 @@ def _check_budget(
     """Refuse, before any work, a job whose matrices exceed the column budget
     or whose prime is too large for exact elimination.  The presentation's
     blocks have at most `estimate` columns and the oracle's at most
-    `estimate` rows, so modp.check_exact for that many terms, the one float64
-    bound, covers all the job's elimination; oracle.check_products_exact
-    states the int64 bound of the oracle's products of linear forms."""
+    `estimate` rows, and an entry of the oracle's numerator products gathers
+    at most n products, so modp.check_exact for the larger of the two, the
+    one float64 bound, covers all the job's arithmetic."""
     estimate = superalg.free_monomial_count(num_gens, weight)
     if estimate > config.column_budget:
         raise UsageError(
@@ -71,8 +71,7 @@ def _check_budget(
             "(raise %s to override)" % (weight, estimate, config.column_budget, BUDGET_ENV)
         )
     try:
-        modp.check_exact(estimate, ctx.p)
-        oracle.check_products_exact(ctx.n, ctx.p)
+        modp.check_exact(max(estimate, ctx.n), ctx.p)
     except ValueError:
         raise UsageError(
             "p = %d is too large for exact elimination at weight %d (~%d columns)"

@@ -11,7 +11,10 @@ and every rank and vanishing question is settled on cleared numerators:
 span_rank and relation_image each bring their images to one componentwise
 max denominator and work on the numerators.  The z's are nonzero divisors,
 so clearing is faithful and no fraction arithmetic is needed; embed gives a
-monomial's image as the pair (numerator, denominator exponents).
+monomial's image as the pair (numerator, denominator exponents).  span_rank
+builds its numerators' products of linear forms and wedges of one-forms with
+one float64 routine, _products, and eliminates them with modp.rref: both stay
+exact under the package's one bound, modp.check_exact.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ from __future__ import annotations
 import itertools
 import time
 from functools import lru_cache
-from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .charspace import Character, GroupContext, Line, canonicalize
-from .modp import _SLAB_ROWS, _remainder, inverse_mod, rref
+from .modp import _SLAB_ROWS, _remainder, check_exact, inverse_mod, rref
 from .superalg import (
     SuperElement,
     SuperMonomial,
@@ -183,16 +185,6 @@ def relation_image(rel: SuperElement, ctx: GroupContext) -> PolyExtElement:
     return acc
 
 
-def check_products_exact(n: int, p: int) -> None:
-    """Raise ValueError unless n*(p-1)^2 < 2^63, the bound under which the
-    int64 products of linear forms in _products are exact."""
-    if n * (p - 1) ** 2 >= 2**63:
-        raise ValueError(
-            "n*(p-1)^2 = %d is not below 2^63: int64 products of linear forms "
-            "would not be exact" % (n * (p - 1) ** 2)
-        )
-
-
 def span_rank(
     keys: Sequence, codes: np.ndarray, weight: int, ctx: GroupContext, times: dict | None = None
 ) -> int:
@@ -207,19 +199,21 @@ def span_rank(
     cleared to its own componentwise-max denominator, a nonzero divisor, so
     ranks are kept; the numerator of a monomial becomes scalar * P (x) omega,
     with P the product of the z's that clear it (one degree D per block) and
-    omega the wedge of its dz's, and is expanded as a dense row over the
-    degree-D x-monomials times the k-subsets of the dx's.  The scalar, which
-    Character keys bring in, and the sign of omega, which depends on the
-    order of its factors, are units and are left out: scaling a row by a
-    unit does not change the rank.  Each block is eliminated whole by
-    modp.rref, the kernel the presentation route uses too, on the one
-    float64 path: rref checks its own bound and raises ValueError past it.
+    omega the wedge of its dz's, both built by _products, and is expanded as
+    a dense row over the degree-D x-monomials times the k-subsets of the
+    dx's.  The scalar, which Character keys bring in, and the sign of omega,
+    which depends on the order of its factors, are units and are left out:
+    scaling a row by a unit does not change the rank.  Each block is
+    eliminated whole by modp.rref, the kernel the presentation route uses
+    too, on the one float64 path.  The one bound, modp.check_exact, is
+    checked here for the n products an entry of _products gathers, and by
+    rref for the block's shape; both raise ValueError past it.
 
     When times is a dict, the seconds spent building the blocks' rows and
     eliminating them are added to times["rows_s"] and times["elim_s"].
     """
     start = time.perf_counter()
-    check_products_exact(ctx.n, ctx.p)
+    check_exact(ctx.n, ctx.p)
     codes = np.asarray(codes, dtype=np.int64)
     if (codes.sum(axis=1) != weight).any():
         raise ValueError("every code row must have weight %d" % weight)
@@ -235,7 +229,7 @@ def span_rank(
     keep = (odd <= 1).all(axis=1)
     denom, odd = denom[keep], odd[keep]
     dx_degree = odd.sum(axis=1)
-    coords = np.array([line.rep.coords for line in lines], dtype=np.int64)
+    coords = np.array([line.rep.coords for line in lines], dtype=np.float64)
     coords = coords.reshape(len(lines), ctx.n)
     rank, elim_s = 0, 0.0
     for k in np.flatnonzero(np.bincount(dx_degree)):
@@ -256,22 +250,14 @@ def _block_rows(denom: np.ndarray, odd: np.ndarray, coords: np.ndarray, p: int) 
     with entries in [0, p), ready for rref; all-zero rows are left out."""
     comps, p_idx = _group(denom.max(axis=0) - denom)
     u_sets, omega_idx = _group(odd)
-    degree = int(comps[0].sum())
-    factors = np.repeat(np.tile(np.arange(len(coords)), len(comps)), comps.ravel())
-    polys = _products(coords[factors.reshape(len(comps), degree)], p)
-    omegas = np.array(
-        [_omega(coords[u_set == 1].tolist(), p, coords.shape[1]) for u_set in u_sets],
-        dtype=np.int64,
-    ).reshape(len(u_sets), -1)
+    polys = _products(_factors(comps, coords), p, _times_x)
+    omegas = _products(_factors(u_sets, coords), p, _wedge_x)
     # omega is 0 when the u-lines are dependent, and P never is
     live = omegas.any(axis=1)[omega_idx]
     p_idx, omega_idx = p_idx[live], omega_idx[live]
-    width = polys.shape[1] * omegas.shape[1]
-    # Products of two residues are at most (p-1)^2, exact in float64 for
-    # every p that rref accepts; the rows are built a slab at a time, which
-    # bounds the temporaries.
-    polys, omegas = polys.astype(np.float64), omegas.astype(np.float64)
-    rows = np.empty((len(p_idx), width))
+    # An entry is one product of two residues; the rows are built a slab at
+    # a time, which bounds the temporaries.
+    rows = np.empty((len(p_idx), polys.shape[1] * omegas.shape[1]))
     for s in range(0, len(rows), _SLAB_ROWS):
         at = slice(s, s + _SLAB_ROWS)
         part = rows[at]
@@ -292,66 +278,75 @@ def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], index
 
 
-def _products(forms: np.ndarray, p: int) -> np.ndarray:
-    """Products mod p of the linear forms forms[r, 0..D-1] (coefficients on
-    x_1..x_n), as rows over the degree-D monomials of _times_x's order.
+def _factors(mults: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """[r, f] = the coordinates of the f-th factor of row r, which takes
+    line j mults[r, j] times, lines in order; every row has one degree."""
+    degree = int(mults[0].sum())
+    lines = np.repeat(np.tile(np.arange(len(coords)), len(mults)), mults.ravel())
+    return coords[lines.reshape(len(mults), degree)]
 
-    Entries before each reduction are sums of at most n products of two
-    residues, exact in int64 when check_products_exact(n, p) passes."""
+
+def _products(forms: np.ndarray, p: int, table) -> np.ndarray:
+    """Products mod p of the one-forms forms[r, 0], ..., forms[r, D-1], taken
+    in that order, as float64 rows with entries in [0, p).  With _times_x
+    the forms are linear forms in x_1..x_n and the rows run over the
+    degree-D monomials; with _wedge_x they are one-forms in dx_1..dx_n and
+    the rows run over the D-subsets.
+
+    Each degree step is one einsum: entry j of the next row is the sum over
+    i of sign[i, j] * forms[r, s, i] * row[source[i, j]].  It gathers at
+    most n products of two residues, exact when modp.check_exact(n, p)
+    passes, and is reduced mod p before the next step."""
     m, degree, n = forms.shape
-    out = np.ones((m, 1), dtype=np.int64)
+    out = np.ones((m, 1))
     for s in range(degree):
-        times = _times_x(n, s)
-        nxt = np.zeros((m, comb(n + s, s + 1)), dtype=np.int64)
-        for i in range(n):
-            nxt[:, times[:, i]] += out * forms[:, s, i : i + 1]
-        out = nxt % p
-    return out
-
-
-def _omega(forms: Sequence[Sequence[int]], p: int, n: int) -> list[int]:
-    """The wedge mod p of the one-forms forms[0], forms[1], ... (coefficients
-    on dx_1..dx_n), multiplied in that order, over the k-subsets of the dx's
-    in _wedge_x's order.  At most 2^n entries, so plain integers suffice."""
-    out = [1]
-    for s, form in enumerate(forms):
-        nxt = [0] * comb(n, s + 1)
-        for v, moves in zip(out, _wedge_x(n, s)):
-            for i, j, sign in moves:
-                nxt[j] += sign * form[i] * v
-        out = [x % p for x in nxt]
+        source, sign = table(n, s)
+        out = np.einsum("rij,ri,ij->rj", out[:, source], forms[:, s], sign)
+        _remainder(out, p)
     return out
 
 
 @lru_cache(maxsize=None)
-def _times_x(n: int, s: int) -> np.ndarray:
-    """[j, i] = index of x^a * x_i among the degree-(s+1) monomials, for the
-    j-th degree-s monomial x^a; monomials are indexed in exponent_rows
-    order, which is that of combinations_with_replacement."""
+def _times_x(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplication table of the polynomials, as (source, sign), each
+    of shape (n, number of degree-(s+1) monomials): for the j-th degree-(s+1)
+    monomial x^b and the variable x_i, source[i, j] is the index of x^b / x_i
+    among the degree-s monomials and sign[i, j] is 1, or both are 0 when x_i
+    does not divide x^b.  Monomials are indexed in exponent_rows order, which
+    is that of combinations_with_replacement."""
     lower, upper = exponent_rows(n, s), exponent_rows(n, s + 1)
-    targets = (lower[:, None, :] + np.eye(n, dtype=np.int64)).reshape(len(lower) * n, n)
-    keys = _packed(upper)
+    divides = upper.T > 0
+    quotients = upper - np.eye(n, dtype=np.int64)[:, None, :]
+    quotients[~divides] = lower[0]
+    keys = _packed(lower)
     order = np.argsort(keys)
-    out = order[np.searchsorted(keys[order], _packed(targets))].reshape(len(lower), n)
-    out.flags.writeable = False
-    return out
+    source = order[np.searchsorted(keys[order], _packed(quotients.reshape(-1, n)))]
+    source = source.reshape(divides.shape)
+    sign = divides.astype(np.float64)
+    source.flags.writeable = sign.flags.writeable = False
+    return source, sign
 
 
 @lru_cache(maxsize=None)
-def _wedge_x(n: int, s: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """For the j-th s-subset I in combinations order, the triples (i, index of
-    I + i among the (s+1)-subsets, sign) over the i not in I, with
-    dx_I ^ dx_i = sign * dx_(I + i).  The sign comes from the right-hand
-    merge, as in merge_odd: one transposition per element of I above i."""
-    upper = {sub: j for j, sub in enumerate(itertools.combinations(range(n), s + 1))}
-    return tuple(
-        tuple(
-            (i, upper[tuple(sorted(sub + (i,)))], -1 if sum(a > i for a in sub) % 2 else 1)
-            for i in range(n)
-            if i not in sub
-        )
-        for sub in itertools.combinations(range(n), s)
-    )
+def _wedge_x(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplication table of the exterior algebra, in the form of
+    _times_x: for the j-th (s+1)-subset J in combinations order and i in J,
+    source[i, j] is the index of J - i among the s-subsets and sign[i, j] is
+    the sign in dx_(J - i) ^ dx_i = sign * dx_J; both are 0 when i is not in
+    J.  The sign comes from the right-hand merge, as in merge_odd: one
+    transposition per element of J above i."""
+    lower = {sub: j for j, sub in enumerate(itertools.combinations(range(n), s))}
+    upper = list(itertools.combinations(range(n), s + 1))
+    source = np.array(
+        [[lower.get(tuple(a for a in sub if a != i), 0) for sub in upper] for i in range(n)],
+        dtype=np.intp,
+    ).reshape(n, len(upper))
+    sign = np.array(
+        [[(-1) ** sum(a > i for a in sub) if i in sub else 0 for sub in upper] for i in range(n)],
+        dtype=np.float64,
+    ).reshape(n, len(upper))
+    source.flags.writeable = sign.flags.writeable = False
+    return source, sign
 
 
 def subring_hilbert(lines: Iterable[Line], cutoff: int, ctx: GroupContext) -> tuple[int, ...]:

@@ -114,29 +114,30 @@ def ro_dimension(ctx: GroupContext, md: MultiDegree) -> int:
     exterior power of that degree of the span of the lines.  A label's rep
     is a nonzero multiple of its line's rep, so the reps give the same rank.
     """
-    total = md.total_mult
-    if not (total <= md.k <= 2 * total):
-        return 0
-    return comb(rank_of([label.rep for label, _ in md.m], ctx), 2 * total - md.k)
+    return _piece_dimension(rank_of([label.rep for label, _ in md.m], ctx), md.total_mult, md.k)
+
+
+def _piece_dimension(rank: int, total: int, k: int) -> int:
+    """C(rank, 2*total - k) if total <= k <= 2*total, else 0."""
+    return comb(rank, 2 * total - k) if total <= k <= 2 * total else 0
 
 
 def ro_table(
     ctx: GroupContext, max_total_mult: int, k_range: tuple[int, int]
 ) -> dict[MultiDegree, int]:
     """ro_dimension over every multidegree with total multiplicity up to the
-    bound and shift in the inclusive range, in a fixed iteration order."""
+    bound and shift in the inclusive range, in a fixed iteration order.  The
+    rank of a support is computed once for all its shifts."""
     k_lo, k_hi = k_range
     labels = enumerate_irrep_labels(ctx)
     entries: dict[MultiDegree, int] = {}
     for total in range(max_total_mult + 1):
+        # each combination is sorted, so equal labels are adjacent
         for combo in itertools.combinations_with_replacement(labels, total):
-            m: dict[IrrepLabel, int] = {}
-            for label in combo:
-                m[label] = m.get(label, 0) + 1
-            mults = tuple(sorted(m.items()))
+            mults = tuple((label, len(list(run))) for label, run in itertools.groupby(combo))
+            rank = rank_of([label.rep for label, _ in mults], ctx)
             for k in range(k_lo, k_hi + 1):
-                md = MultiDegree(mults, k)
-                entries[md] = ro_dimension(ctx, md)
+                entries[MultiDegree(mults, k)] = _piece_dimension(rank, total, k)
     return entries
 
 

@@ -176,10 +176,11 @@ class TestUsageErrors:
             ["ro-table", "--p", "94906297", "--n", "2", "--max-mult", "1"],
             # one column, but (p-1)^2 >= 2^53: the float64 bound refuses it first
             ["ro-dim", "--p", "2147483659", "--n", "2", "--mult", "1,0:1", "--k", "1"],
-            # one column and (p-1)^2 + p < 2^53, but n*(p-1)^2 >= 2^63: only
-            # the bound on the oracle's int64 products refuses it
+            # one column and (p-1)^2 + p < 2^53, but an entry of the oracle's
+            # products gathers n products and n*(p-1)^2 + p >= 2^53
             ["localize", "--p", "94906249", "--n", "1025", "--cutoff", "0",
              "--lines", ",".join(["1"] + ["0"] * 1024)],
+            ["localize", "--p", "67108879", "--n", "2", "--cutoff", "1", "--lines", "1,0"],
         ],
     )
     def test_prime_too_large_for_exact_elimination_refused(self, argv):

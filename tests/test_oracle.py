@@ -21,7 +21,13 @@ from phiring.oracle import (
     subring_hilbert,
 )
 from phiring.phi import build_phi_presentation, relation_families
-from phiring.superalg import SuperElement, SuperMonomial, monomial_codes
+from phiring.superalg import (
+    SuperElement,
+    SuperMonomial,
+    exponent_rows,
+    merge_odd,
+    monomial_codes,
+)
 from monomial_reference import encode, free_monomials
 from ro_reference import ro_words
 
@@ -323,9 +329,8 @@ class TestSpanRankAgainstReference:
         assert rograde.ro_dimension(ctx, md) == expected
 
     def test_float64_bound_refuses_the_largest_int64_prime(self):
-        # 2*(p-1)^2 < 2^63 for p = 2^31 - 1, so the int64 products are
-        # exact, but (p-1)^2 + p >= 2^53: rref must refuse rather than
-        # return a wrong rank
+        # (p-1)^2 + p >= 2^53 for p = 2^31 - 1: span_rank must refuse rather
+        # than return a wrong rank
         p = 2**31 - 1
         ctx = GroupContext(p, 2)
         keys = sorted(Line(Character(c)) for c in [(1, 0), (0, 1), (1, 1), (p - 2, 1)])
@@ -363,7 +368,17 @@ class TestSpanRankAgainstReference:
 
     def test_prime_too_large_for_int64_rejected(self):
         ctx = GroupContext(2147483659, 2)  # 2*(p-1)^2 >= 2^63
-        with pytest.raises(ValueError, match="2\\^63"):
+        with pytest.raises(ValueError, match="2\\^53"):
+            span_rank(*encode([SuperMonomial.t(Line(Character((1, 0))))]), 2, ctx)
+
+    def test_prime_between_one_and_n_products_refused(self):
+        # (p-1)^2 + p < 2^53 <= 2*(p-1)^2 + p: one product of two residues
+        # is exact, but an entry of a product of linear forms in two
+        # variables gathers two
+        p = 67108879
+        assert is_prime(p) and (p - 1) ** 2 + p < 2**53 <= 2 * (p - 1) ** 2 + p
+        ctx = GroupContext(p, 2)
+        with pytest.raises(ValueError, match="2\\^53"):
             span_rank(*encode([SuperMonomial.t(Line(Character((1, 0))))]), 2, ctx)
 
     def test_times_accumulate_over_calls(self):
@@ -400,20 +415,100 @@ class TestSubringHilbert:
 
 
 def reference_times_x(n, s):
-    """The table _times_x built from dicts: each degree-(s+1) monomial, as a
-    sorted tuple of variable indices, mapped to its index."""
-    monos = itertools.combinations_with_replacement(range(n), s + 1)
-    upper = {mono: j for j, mono in enumerate(monos)}
-    return np.array(
-        [
-            [upper[tuple(sorted(mono + (i,)))] for i in range(n)]
-            for mono in itertools.combinations_with_replacement(range(n), s)
-        ],
-        dtype=np.intp,
-    ).reshape(-1, n)
+    """The table _times_x built from dicts: each degree-s monomial, as a
+    sorted tuple of variable indices, mapped to its index; for each
+    degree-(s+1) monomial and each variable in it, the index of the quotient
+    and the sign 1, and 0 and 0 for the other variables."""
+    lower = {
+        mono: j for j, mono in enumerate(itertools.combinations_with_replacement(range(n), s))
+    }
+    source, sign = [], []
+    for i in range(n):
+        source.append([])
+        sign.append([])
+        for mono in itertools.combinations_with_replacement(range(n), s + 1):
+            quotient = list(mono)
+            if i in quotient:
+                quotient.remove(i)
+            source[-1].append(lower.get(tuple(quotient), 0))
+            sign[-1].append(int(i in mono))
+    return np.array(source).reshape(n, -1), np.array(sign).reshape(n, -1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_times_x_matches_the_dict_built_table(n):
     for s in range(7):
-        assert np.array_equal(oracle._times_x(n, s), reference_times_x(n, s)), (n, s)
+        source, sign = oracle._times_x(n, s)
+        ref_source, ref_sign = reference_times_x(n, s)
+        assert np.array_equal(source, ref_source) and np.array_equal(sign, ref_sign), (n, s)
+
+
+def reference_wedge_x(n, s):
+    """The table _wedge_x built from dicts and merge_odd: for each
+    (s+1)-subset J and each i in it, the index of J - i and the sign of
+    dx_(J - i) ^ dx_i, and 0 and 0 for the i outside J."""
+    lower = {sub: j for j, sub in enumerate(itertools.combinations(range(n), s))}
+    source, sign = [], []
+    for i in range(n):
+        source.append([])
+        sign.append([])
+        for sub in itertools.combinations(range(n), s + 1):
+            rest = tuple(a for a in sub if a != i)
+            c, merged = merge_odd(rest, (i,))
+            in_sub = merged == sub
+            source[-1].append(lower[rest] if in_sub else 0)
+            sign[-1].append(c if in_sub else 0)
+    return np.array(source).reshape(n, -1), np.array(sign).reshape(n, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_wedge_x_matches_the_dict_built_table(n):
+    for s in range(n + 2):
+        source, sign = oracle._wedge_x(n, s)
+        ref_source, ref_sign = reference_wedge_x(n, s)
+        assert np.array_equal(source, ref_source) and np.array_equal(sign, ref_sign), (n, s)
+
+
+def random_forms(rng, rows, degree, n, p):
+    """rows x degree nonzero coefficient vectors in [0, p)^n."""
+    forms = np.zeros((rows, degree, n))
+    for r in range(rows):
+        for f in range(degree):
+            while not forms[r, f].any():
+                forms[r, f] = [rng.randrange(p) for _ in range(n)]
+    return forms
+
+
+@given(st.integers(1, 4), st.sampled_from([3, 5, 7, 1048573]), st.integers(0, 2**32 - 1))
+def test_products_of_linear_forms_match_euler_classes(n, p, seed):
+    rng = random.Random(seed)
+    ctx = GroupContext(p, n)
+    degree = rng.randint(0, 6)
+    forms = random_forms(rng, rng.randint(1, 3), degree, n, p)
+    rows = oracle._products(forms, p, oracle._times_x)
+    monomials = [tuple(e) for e in exponent_rows(n, degree).tolist()]
+    assert rows.shape == (len(forms), len(monomials))
+    for row, factors in zip(rows, forms):
+        expected = PolyExtElement.one(p, n)
+        for form in factors:
+            expected = expected * euler_class(C(*map(int, form)), ctx)
+        got = PolyExtElement(p, n, {(x, ()): int(c) for x, c in zip(monomials, row)})
+        assert ((0 <= row) & (row < p)).all() and got == expected
+
+
+@given(st.integers(1, 4), st.sampled_from([3, 5, 7, 1048573]), st.integers(0, 2**32 - 1))
+def test_wedges_of_one_forms_match_d_euler_classes(n, p, seed):
+    rng = random.Random(seed)
+    ctx = GroupContext(p, n)
+    degree = rng.randint(0, n + 1)
+    forms = random_forms(rng, rng.randint(1, 3), degree, n, p)
+    rows = oracle._products(forms, p, oracle._wedge_x)
+    subsets = list(itertools.combinations(range(n), degree))
+    assert rows.shape == (len(forms), len(subsets))
+    zero = (0,) * n
+    for row, factors in zip(rows, forms):
+        expected = PolyExtElement.one(p, n)
+        for form in factors:  # in order: the wedge is graded-commutative
+            expected = expected * d_euler_class(C(*map(int, form)), ctx)
+        got = PolyExtElement(p, n, {(zero, sub): int(c) for sub, c in zip(subsets, row)})
+        assert ((0 <= row) & (row < p)).all() and got == expected

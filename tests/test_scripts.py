@@ -124,13 +124,14 @@ def test_float64_bound_stated_in_modp_only():
     assert stated == ["modp.py"]
 
 
-def test_int64_bound_stated_in_oracle_only():
-    # one int64 bound for the oracle's products: oracle.check_products_exact
-    stated = {
-        path.relative_to(PACKAGE).as_posix(): path.read_text(encoding="utf-8").count("2**63")
+def test_no_int64_bound_in_the_package():
+    # the oracle's products run on the one float64 path too: no second bound
+    stated = sorted(
+        path.relative_to(PACKAGE).as_posix()
         for path in PACKAGE.rglob("*.py")
-    }
-    assert {name: count for name, count in stated.items() if count} == {"oracle.py": 1}
+        if "2**63" in path.read_text(encoding="utf-8")
+    )
+    assert stated == []
 
 
 def test_names_perfbench_wraps_exist():
