@@ -21,8 +21,8 @@ single-threaded BLAS:
   quotient_dimension(pres, w), and the weight-w step of the oracle's
   subring_hilbert, span_rank on the monomial_codes of the lines, are timed,
   with the columns (free monomials) and the dimension each route finds.
-  The oracle's time is split into building the rows of its dx-degree
-  blocks and eliminating them.
+  Each route's time is split into building its rows (the Macaulay entries;
+  the oracle's dx-degree blocks) and eliminating them.
 
 Needs only the standard library and numpy.
 """
@@ -95,8 +95,9 @@ def layers(p, n, cutoff):
     weights = []
     for w in range(cutoff + 1):
         codes = monomial_codes(len(gens), w)
+        pres_times = {"rows_s": 0.0, "elim_s": 0.0}
         start = time.perf_counter()
-        pres_dim = quotient_dimension(pres, w)
+        pres_dim = quotient_dimension(pres, w, pres_times)
         pres_s = time.perf_counter() - start
         times = {"rows_s": 0.0, "elim_s": 0.0}
         start = time.perf_counter()
@@ -106,6 +107,8 @@ def layers(p, n, cutoff):
             "weight": w,
             "columns": len(codes),
             "presentation_s": round(pres_s, 4),
+            "presentation_rows_s": round(pres_times["rows_s"], 4),
+            "presentation_elim_s": round(pres_times["elim_s"], 4),
             "presentation_dim": pres_dim,
             "oracle_s": round(oracle_s, 4),
             "oracle_rows_s": round(times["rows_s"], 4),

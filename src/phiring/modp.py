@@ -2,14 +2,17 @@
 
 One elimination kernel serves both routes that eliminate: rref brings a
 dense float64 block to reduced echelon form, recursively, down to a
-Gauss-Jordan base case of at most _BASE_ROWS rows.  RrefBasis feeds it the
-presentation's Macaulay rows, chunk by chunk; the oracle feeds it each
-dx-degree block whole.  There is one float64 path, with one bound: every
-entry stays an integer of magnitude below 2^53, where float64 is exact, as
-long as terms*(p-1)^2 + p < 2^53 for the number of products an entry
-gathers.  check_exact states that bound, and rref and RrefBasis refuse
-shapes past it with ValueError.  RowReducer, exact integer elimination one
-row at a time, is kept as the reference the tests compare rref with.
+Gauss-Jordan base case of at most _BASE_ROWS rows.  The oracle feeds it each
+dx-degree block whole.  The presentation's Macaulay blocks are sparse and
+mostly triangular, so sparse_pivots splits each one pivot first: the rows
+that lead at distinct columns are back-substituted, and only the Schur rows
+over the remaining free columns reach rref, a slab at a time.  There is one
+float64 path, with one bound: every entry stays an integer of magnitude
+below 2^53, where float64 is exact, as long as terms*(p-1)^2 + p < 2^53 for
+the number of products an entry gathers.  check_exact states that bound,
+and rref and sparse_pivots refuse shapes past it with ValueError.
+RowReducer, exact integer elimination one row at a time, is kept as the
+reference the tests compare both with.
 
 Everything here is deterministic: pivot columns are always chosen leftmost,
 so the pivot-column set of a row collection depends only on its row space,
@@ -214,106 +217,105 @@ def _reduce(rows: np.ndarray, pivots, basis: np.ndarray, p: int) -> None:
         _remainder(part, p)
 
 
-class RrefBasis:
-    """Reduced row echelon basis of a growing row space over F_p, fed chunks
-    of sparse rows.
+def sparse_pivots(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int, p: int) -> list[int]:
+    """Pivot columns, ascending, of the span of a sparse block, found pivot
+    first (the Faugere-Lachartre split of a Macaulay matrix).
 
-    Entries are float64 integers in [0, p).  A chunk arrives as its nonzero
-    entries and is scattered into a dense block; each entry that sits at a
-    pivot column then subtracts its value times that column's basis row, so
-    the reduction against the basis costs nnz*width multiply-adds rather
-    than rows*rank*width.  A row meets at most ncols pivots, so every entry
-    gathers at most ncols products of two residues, and the constructor
-    checks the module's one float64 bound, check_exact, for ncols terms: it
-    also covers rref on any chunk.  The rows that survive are
-    brought to reduced echelon form by rref, the module's one elimination
-    kernel, and only the basis rows with a nonzero at one of the new pivots
-    are back-reduced.
+    The entries come as row ids, columns in [0, width) and values in [1, p),
+    strictly increasing in (row, column) order.  Per distinct leading
+    column, the row leading there with the fewest entries, then the lowest
+    id, is a pivot row.  The pivot rows are back-substituted one dependency
+    depth at a time into rows F over the free columns, those that lead no
+    row.  Each other row less its pivot-column entries times F is a Schur
+    row; _SLAB_ROWS at a time, they are reduced against the basis so far
+    and eliminated by rref, until the rank is the number of free columns.
+    An entry formed is a residue less at most width products of residues:
+    ValueError is raised past check_exact for width terms, as on malformed
+    entries."""
+    if width < 0:
+        raise ValueError("width must be nonnegative")
+    check_exact(width, p)
+    rows, cols, vals = (np.asarray(a) for a in (rows, cols, vals))
+    if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
+        raise ValueError("rows, cols and vals must be 1-d arrays of one length")
+    if len(rows) == 0:
+        return []
+    if (rows[0] < 0 or cols.min() < 0 or cols.max() >= width or vals.min() < 1 or vals.max() >= p
+            or (np.diff(rows.astype(np.int64) * width + cols) <= 0).any()):
+        raise ValueError(
+            "entries need rows >= 0, columns in [0, %d), strictly increasing "
+            "(row, column) pairs and values in [1, %d)" % (width, p)
+        )
+    cols, vals = cols.astype(np.intp), vals.astype(np.int64)
+    first = np.concatenate(([True], rows[1:] != rows[:-1]))
+    starts = np.flatnonzero(first)
+    row_of = np.cumsum(first) - 1
+    nth = np.arange(len(rows)) - starts[row_of]
+    lead = cols[starts]
+    # lexsort is stable, so among equally short rows the lowest id comes first
+    order = np.lexsort((np.diff(starts, append=len(rows)), lead))
+    chosen = order[np.concatenate(([True], lead[order[1:]] != lead[order[:-1]]))]
+    pivots = lead[chosen]
+    at_pivot = np.zeros(width, dtype=bool)
+    at_pivot[pivots] = True
+    free = np.flatnonzero(~at_pivot)
+    if len(free) == 0:
+        return pivots.tolist()
+    # a pivot column's row of F, a free column's place among the free columns
+    index = np.empty(width, dtype=np.intp)
+    index[pivots] = np.arange(len(pivots))
+    index[free] = np.arange(len(free))
+    pivot_of_row = np.full(len(starts), -1, dtype=np.intp)
+    pivot_of_row[chosen] = np.arange(len(chosen))
+    # per entry from here: its row's place among the pivot rows (-1 for a
+    # Schur row), whether its column is a pivot column, and that column's index
+    src, at_pivot, cols = pivot_of_row[row_of], at_pivot[cols], index[cols]
 
-    The reduced echelon form of a row space is unique, so rank, pivot
-    columns and basis rows depend only on the rows fed, not on their order
-    or on how they are split into chunks: they are those of rref applied to
-    all the rows at once.
-    """
+    # F: the pivot rows scaled to a leading 1, then back-substituted
+    scale = np.ones(len(starts), dtype=np.int64)
+    scale[chosen] = [pow(v, -1, p) for v in vals[starts[chosen]].tolist()]
+    vals = vals * scale[row_of] % p
+    f_rows = np.zeros((len(chosen), len(free)))
+    put = (src >= 0) & ~at_pivot
+    f_rows[src[put], cols[put]] = vals[put]
+    dep = (src >= 0) & at_pivot & (nth > 0)
+    d_src, d_dst, d_val, d_nth = src[dep], cols[dep], vals[dep], nth[dep]
+    done = np.bincount(d_src, minlength=len(chosen)) == 0
+    while not done.all():
+        ready = ~done & (np.bincount(d_src[~done[d_dst]], minlength=len(chosen)) == 0)
+        level = ready[d_src]
+        for k in range(1, int(d_nth.max()) + 1):
+            at = level & (d_nth == k)
+            f_rows[d_src[at]] -= d_val[at, None] * f_rows[d_dst[at]]
+        part = f_rows[ready]
+        _remainder(part, p)
+        f_rows[ready] = part
+        done |= ready
 
-    def __init__(self, ncols: int, p: int):
-        if ncols < 0:
-            raise ValueError("ncols must be nonnegative")
-        check_exact(ncols, p)
-        self.ncols = ncols
-        self.p = p
-        # Room for the largest possible rank; np.zeros leaves the pages of
-        # rows not yet added untouched, so they cost no resident memory.
-        self._rows = np.zeros((ncols, ncols))
-        # basis row whose pivot is each column, -1 off the pivots
-        self._slot = np.full(ncols, -1, dtype=np.intp)
-        self._rank = 0
-
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-    @property
-    def pivot_columns(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self._slot >= 0).tolist())
-
-    def add_rows(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> int:
-        """Reduce a chunk of rows into the basis, given as its entries: local
-        row ids from 0, columns, and values that are integers in [0, p),
-        strictly increasing in (row, column) order.  Returns the rank
-        gained."""
-        rows, cols, vals = (np.asarray(a) for a in (rows, cols, vals))
-        if not rows.ndim == cols.ndim == vals.ndim == 1 or not len(rows) == len(cols) == len(vals):
-            raise ValueError("rows, cols and vals must be 1-d arrays of one length")
-        if len(rows) and (
-            rows[0] < 0
-            or cols.min() < 0
-            or cols.max() >= self.ncols
-            or (np.diff(rows.astype(np.int64) * self.ncols + cols) <= 0).any()
-            or vals.min() < 0
-            or vals.max() >= self.p
-        ):
-            raise ValueError(
-                "entries need rows >= 0, columns in [0, %d), strictly increasing "
-                "(row, column) pairs and values in [0, %d)" % (self.ncols, self.p)
-            )
-        r = self._rank
-        if r == self.ncols or len(rows) == 0:
-            return 0
-        block = np.zeros((int(rows[-1]) + 1, self.ncols))
-        block[rows, cols] = vals
-        if r:
-            self._reduce_entries(block, rows, cols, vals)
-        keep = block.any(axis=1)
-        new_rows, new_pivots = rref(block if keep.all() else block[keep], self.p)
-        k = len(new_pivots)
-        if k == 0:
-            return 0
-        touched = np.flatnonzero(self._rows[:r, new_pivots].any(axis=1))
-        for s in range(0, len(touched), _SLAB_ROWS):
-            at = touched[s : s + _SLAB_ROWS]
-            part = self._rows[at]
-            _reduce(part, new_pivots, new_rows, self.p)
-            self._rows[at] = part
-        self._rows[r : r + k] = new_rows
-        self._slot[new_pivots] = np.arange(r, r + k)
-        self._rank = r + k
-        return k
-
-    def _reduce_entries(
-        self, block: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-    ) -> None:
-        """block -= block[:, pivots] @ basis (mod p), taking block[:, pivots]
-        from the chunk's entries: the k-th pivot entry of every row is
-        subtracted in one gathered step."""
-        slot = self._slot[cols]
-        hit = slot >= 0
-        rows, slot, vals = rows[hit], slot[hit], vals[hit]
-        if len(rows) == 0:
-            return
-        first = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-        nth = np.arange(len(rows)) - np.repeat(first, np.diff(np.append(first, len(rows))))
-        for k in range(int(nth.max()) + 1):
-            at = nth == k
-            block[rows[at]] -= vals[at, None] * self._rows[slot[at]]
-        _remainder(block, self.p)
+    # the Schur rows, a slab at a time
+    schur = pivot_of_row < 0
+    in_schur = schur[row_of]
+    s_row = (np.cumsum(schur) - 1)[row_of[in_schur]]
+    s_col, s_val, s_nth, s_at = (a[in_schur] for a in (cols, vals, nth, at_pivot))
+    bounds = np.searchsorted(s_row, np.arange(0, schur.sum() + _SLAB_ROWS, _SLAB_ROWS))
+    basis = np.zeros((len(free), len(free)))
+    found: list[int] = []
+    for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        r, c, v, k_of, at_p = (a[lo:hi] for a in (s_row, s_col, s_val, s_nth, s_at))
+        r = r - s * _SLAB_ROWS
+        slab = np.zeros((int(r[-1]) + 1, len(free)))
+        slab[r[~at_p], c[~at_p]] = v[~at_p]
+        for k in range(int(k_of.max()) + 1):
+            at = at_p & (k_of == k)
+            slab[r[at]] -= v[at, None] * f_rows[c[at]]
+        _remainder(slab, p)
+        if found:
+            _reduce(slab, found, basis[: len(found)], p)
+        new_rows, new_pivots = rref(slab[slab.any(axis=1)], p)
+        if new_pivots:
+            _reduce(basis[: len(found)], new_pivots, new_rows, p)
+            basis[len(found) : len(found) + len(new_pivots)] = new_rows
+            found += new_pivots
+            if len(found) == len(free):
+                break
+    return sorted(pivots.tolist() + free[found].tolist())

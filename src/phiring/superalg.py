@@ -13,6 +13,7 @@ basis: the ideal is homogeneous, so the weight-w truncation is exact.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
@@ -20,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .charspace import GroupContext
-from .modp import RrefBasis
+from .modp import sparse_pivots
 
 
 def merge_odd(a: tuple, b: tuple) -> tuple[int, tuple | None]:
@@ -262,18 +263,8 @@ def free_monomial_count(num_gens: int, weight: int) -> int:
 
 
 # Relation terms are multiplied by their shifts in slabs of about
-# _SLAB_PRODUCTS products.  A block's Macaulay rows go to the eliminator as
-# sparse entries, a chunk of rows at a time; it scatters each chunk into a
-# dense array, reduces it through the entries at basis pivots, and pays one
-# recursive RREF and one back-reduction of the touched basis rows per chunk.
-# Narrow blocks take chunks of about _CHUNK_ENTRIES dense entries (128 KB of
-# float64): fixed 32-row chunks made phi-verify (7,2,5) slower by a tenth in
-# the presentation, and chunks four times larger raised its peak memory by
-# 1.6 MB.  Wide blocks take _MIN_CHUNK_ROWS rows: the top weights of
-# (7,2,7) and (3,3,5) ran slower with 64 to 256.
+# _SLAB_PRODUCTS products.
 _SLAB_PRODUCTS = 1 << 16
-_CHUNK_ENTRIES = 1 << 14
-_MIN_CHUNK_ROWS = 32
 
 
 def _encode(monomials: Sequence[SuperMonomial], position: dict, dtype) -> np.ndarray:
@@ -342,7 +333,9 @@ def _macaulay_entries(pres: Presentation, weight: int, position: dict, basis_cod
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def _quotient_data(pres: Presentation, weight: int) -> tuple[np.ndarray, list[int]]:
+def _quotient_data(
+    pres: Presentation, weight: int, times: dict | None = None
+) -> tuple[np.ndarray, list[int]]:
     """Eliminate the weight-w Macaulay matrix one odd-degree column block at
     a time; return its columns' monomial codes and its pivot columns.
 
@@ -350,8 +343,14 @@ def _quotient_data(pres: Presentation, weight: int) -> tuple[np.ndarray, list[in
     each odd degree is a contiguous column range.  A relation whose terms
     share one odd degree lands every row in a single block, so the blocks
     are independent; if some relation mixes odd degrees the whole weight is
-    one block.
+    one block.  modp.sparse_pivots splits each block pivot first: most of
+    its columns lead some row, so its dense rows span only its few free
+    columns.
+
+    When times is a dict, the seconds spent building the rows and
+    eliminating them are added to times["rows_s"] and times["elim_s"].
     """
+    start = time.perf_counter()
     p = pres.ctx.p
     position = {k: i for i, k in enumerate(sorted(pres.gens))}
     codes = monomial_codes(len(position), weight)
@@ -367,28 +366,25 @@ def _quotient_data(pres: Presentation, weight: int) -> tuple[np.ndarray, list[in
     perm = np.lexsort((cols, rows, blocks))
     rows, cols, vals, blocks = rows[perm], cols[perm], vals[perm], blocks[perm]
     entry_bounds = np.searchsorted(blocks, np.arange(n_blocks + 1))
+    built = time.perf_counter()
     pivots: list[int] = []
     for b in range(n_blocks):
         lo, hi = entry_bounds[b], entry_bounds[b + 1]
         if lo == hi:
             continue
         c0, width = int(col_bounds[b]), int(col_bounds[b + 1] - col_bounds[b])
-        block_rows, block_cols, block_vals = rows[lo:hi], cols[lo:hi] - c0, vals[lo:hi]
-        # consecutive local row numbers 0, 1, ... in row-id order
-        local = np.cumsum(np.concatenate(([True], block_rows[1:] != block_rows[:-1]))) - 1
-        n_rows = int(local[-1]) + 1
-        chunk = max(_MIN_CHUNK_ROWS, _CHUNK_ENTRIES // width)
-        kernel = RrefBasis(width, p)
-        for first in range(0, n_rows, chunk):
-            a, z = np.searchsorted(local, [first, first + chunk])
-            kernel.add_rows(local[a:z] - first, block_cols[a:z], block_vals[a:z])
-        pivots.extend(c0 + c for c in kernel.pivot_columns)
+        block = sparse_pivots(rows[lo:hi], cols[lo:hi] - c0, vals[lo:hi], width, p)
+        pivots.extend(c0 + c for c in block)
+    if times is not None:
+        times["rows_s"] = times.get("rows_s", 0.0) + built - start
+        times["elim_s"] = times.get("elim_s", 0.0) + time.perf_counter() - built
     return codes, pivots
 
 
-def quotient_dimension(pres: Presentation, weight: int) -> int:
-    """dim over F_p of (free algebra / ideal) in the given weight."""
-    codes, pivots = _quotient_data(pres, weight)
+def quotient_dimension(pres: Presentation, weight: int, times: dict | None = None) -> int:
+    """dim over F_p of (free algebra / ideal) in the given weight; times
+    collects seconds as in _quotient_data."""
+    codes, pivots = _quotient_data(pres, weight, times)
     return len(codes) - len(pivots)
 
 

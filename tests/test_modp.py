@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from phiring.modp import (
     _BASE_ROWS,
+    _SLAB_ROWS,
     _SMALL_REMAINDER,
     RowReducer,
-    RrefBasis,
     _remainder,
     check_exact,
     rref,
+    sparse_pivots,
 )
 
 
@@ -40,37 +41,34 @@ def random_rows(rng, p, ncols, nrows):
 
 
 @st.composite
-def sparse_matrices(draw):
-    """A random matrix mod p as a list of {column: coefficient} rows (see
-    random_rows), split into chunks.  The rows may come sorted by leading
-    column, rightmost first, so that later chunks place pivots left of
-    earlier ones; or a full-rank chunk may come first, so that the basis is
-    complete before the last chunk."""
-    p = draw(st.sampled_from([3, 5, 7, 11]))
+def sparse_blocks(draw):
+    """A random sparse block mod p as a list of {column: coefficient} rows
+    (see random_rows; its empty rows leave gaps in the row ids), shuffled,
+    with one of: nothing more; one-entry rows; an upper unitriangular set of
+    rows, so that no column is free; rows that share one leading column.
+    The largest prime is the largest sparse_pivots accepts at width 24."""
+    p = draw(st.sampled_from([3, 5, 7, 11, largest_exact_prime(24)]))
     ncols = draw(st.integers(1, 24))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    nrows = draw(st.integers(0, 3 * ncols))  # often more rows than columns
-    rows = random_rows(rng, p, ncols, nrows)
-    order = draw(st.sampled_from(["drawn", "leads_descending", "full_rank_first"]))
-    if order == "leads_descending":
-        rows.sort(key=lambda row: min(row, default=-1), reverse=True)
-    chunks = []
-    left = len(rows)
-    while left:
-        size = rng.randint(1, left)
-        chunks.append(size)
-        left -= size
-    if order == "full_rank_first":
-        # an upper unitriangular block, then everything else
-        full = [{c: 1 if c == i else rng.randrange(p) for c in range(i, ncols)}
-                for i in range(ncols)]
-        rows = full + rows + [{rng.randrange(ncols): 1}]
-        chunks = [ncols] + chunks + [1]
-    return p, ncols, rows, chunks
+    rows = random_rows(rng, p, ncols, draw(st.integers(0, 3 * ncols)))
+    extra = draw(st.sampled_from(["none", "one_entry", "full_rank", "shared_lead"]))
+    if extra == "one_entry":
+        rows += [{rng.randrange(ncols): rng.randrange(1, p)} for _ in range(ncols)]
+    elif extra == "full_rank":
+        rows += [{c: 1 if c == i else rng.randrange(1, p)
+                  for c in range(i, ncols) if c == i or rng.random() < 0.3}
+                 for i in range(ncols)]
+    elif extra == "shared_lead":
+        lead = rng.randrange(ncols)
+        for _ in range(rng.randint(2, 6)):
+            tail = rng.sample(range(lead + 1, ncols), rng.randint(0, min(3, ncols - lead - 1)))
+            rows.append({c: rng.randrange(1, p) for c in [lead, *tail]})
+    rng.shuffle(rows)
+    return p, ncols, rows
 
 
 def entries(rows):
-    """The (local row, column, value) entries of {column: value} rows."""
+    """The (row, column, value) entries of {column: value} rows."""
     triples = [(i, c, v) for i, row in enumerate(rows) for c, v in sorted(row.items())]
     r, c, v = zip(*triples) if triples else ((), (), ())
     return np.array(r, dtype=np.intp), np.array(c, dtype=np.intp), np.array(v, dtype=np.int64)
@@ -96,66 +94,58 @@ def reference_rref(rows, ncols, p):
     return m[:r]
 
 
-def kernel_rref(kernel):
-    """The kernel's basis rows, ordered by pivot column, and those columns."""
-    pivots = np.flatnonzero(kernel._slot >= 0)
-    return kernel._rows[kernel._slot[pivots]], pivots
+def reference_pivots(rows, ncols, p):
+    ref = RowReducer(ncols, p)
+    for row in rows:
+        ref.add_row(row.items())
+    return ref.pivot_columns
 
 
-def feed(kernel, rows, chunks):
-    gained = []
-    start = 0
-    for size in chunks:
-        gained.append(kernel.add_rows(*entries(rows[start : start + size])))
-        start += size
-    return gained
-
-
-class TestRrefBasisAgainstRowReducer:
-    @given(sparse_matrices())
+class TestSparsePivotsAgainstRowReducer:
+    @given(sparse_blocks())
     def test_rank_and_pivots_match(self, case):
-        p, ncols, rows, chunks = case
-        ref = RowReducer(ncols, p)
-        for row in rows:
-            ref.add_row(row.items())
-        kernel = RrefBasis(ncols, p)
-        gained = sum(feed(kernel, rows, chunks))
-        assert kernel.rank == gained == ref.rank
-        assert kernel.pivot_columns == ref.pivot_columns
-        assert kernel_rref(kernel)[0].astype(np.int64).tolist() == reference_rref(rows, ncols, p)
+        p, ncols, rows = case
+        assert tuple(sparse_pivots(*entries(rows), ncols, p)) == reference_pivots(rows, ncols, p)
 
-    def test_basis_is_reduced_echelon(self):
-        rng = random.Random(3)
-        p, ncols = 7, 30
-        kernel = RrefBasis(ncols, p)
-        for _ in range(5):
-            block = [{c: rng.randrange(1, p) for c in range(ncols) if rng.random() < 0.2}
-                     for _ in range(9)]
-            kernel.add_rows(*entries(block))
-        rows, pivots = kernel_rref(kernel)
-        assert np.array_equal(rows[:, pivots], np.eye(kernel.rank))
-        assert ((rows >= 0) & (rows < p)).all()
-        for row, piv in zip(rows, pivots):
-            assert np.flatnonzero(row)[0] == piv
+    def test_schur_pivot_between_pivot_columns(self):
+        # rows 0 and 1 both lead at column 0; row 0, the shorter, is the
+        # pivot row, and depends on row 2's pivot column 2.  Row 1 less its
+        # pivot-column entries times F is row 1 less row 0, {1: 1}: a Schur
+        # pivot at free column 1, between the pivot columns.
+        rows = [{0: 1, 2: 1}, {0: 1, 1: 1, 2: 1}, {2: 1, 3: 1}]
+        assert sparse_pivots(*entries(rows), 4, 5) == [0, 1, 2]
+        assert reference_pivots(rows, 4, 5) == (0, 1, 2)
 
-    def test_back_reduces_only_what_the_new_pivots_touch(self):
-        p, ncols = 5, 4
-        kernel = RrefBasis(ncols, p)
-        # pivots 2 and 0; only the second row has a nonzero at column 1
-        assert kernel.add_rows(*entries([{2: 1, 3: 4}, {0: 1, 1: 3, 3: 2}])) == 2
-        # a new pivot at column 1, left of the first pivot and right of the second
-        assert kernel.add_rows(*entries([{1: 2, 2: 1}])) == 1
-        assert kernel_rref(kernel)[0].astype(np.int64).tolist() == reference_rref(
-            [{2: 1, 3: 4}, {0: 1, 1: 3, 3: 2}, {1: 2, 2: 1}], ncols, p
-        )
+    def test_dependency_chain_at_the_float64_bound(self):
+        # pivot row i meets pivot column i + 1, so F is built over 22
+        # depths, with entries near p - 1 at the largest prime allowed; the
+        # other rows are combinations of the pivot rows, so every Schur row
+        # is zero and the free columns 22 and 23 stay free
+        p, ncols = largest_exact_prime(24), 24
+        rng = random.Random(2)
+        chain = [{i: p - 1 - rng.randrange(3), i + 1: p - 1 - rng.randrange(3),
+                  22: p - 1 - rng.randrange(3), 23: p - 1 - rng.randrange(3)} for i in range(22)]
+        combos = []
+        for _ in range(3):
+            combo = {}
+            for row in chain:
+                k = rng.randrange(1, p)
+                for c, v in row.items():
+                    combo[c] = (combo.get(c, 0) + k * v) % p
+            combos.append({c: v for c, v in combo.items() if v})
+        rows = chain + combos
+        assert reference_pivots(rows, ncols, p) == tuple(range(22))
+        assert sparse_pivots(*entries(rows), ncols, p) == list(range(22))
 
-    def test_full_rank_ends_the_work(self):
-        p, ncols = 3, 3
-        kernel = RrefBasis(ncols, p)
-        assert kernel.add_rows(*entries([{0: 1, 1: 2}, {1: 1, 2: 1}, {2: 2}])) == 3
-        assert kernel.add_rows(*entries([{0: 1}, {1: 2, 2: 2}])) == 0
-        assert kernel.rank == 3 and kernel.pivot_columns == (0, 1, 2)
-        assert np.array_equal(kernel_rref(kernel)[0], np.eye(3))
+    def test_schur_rows_past_one_slab(self):
+        # the Schur rows give pivot 1 in the first slab and pivot 2, the
+        # last free column, only in the last row
+        rows = [{0: 1}] + [{0: 1, 1: 1}] * (2 * _SLAB_ROWS) + [{0: 1, 2: 1}]
+        assert sparse_pivots(*entries(rows), 3, 5) == [0, 1, 2]
+
+    def test_full_rank_block_has_no_free_column(self):
+        rows = [{0: 1, 1: 2}, {1: 1, 2: 1}, {2: 2}, {0: 1}, {1: 2, 2: 2}]
+        assert sparse_pivots(*entries(rows), 3, 3) == [0, 1, 2]
 
 
 @st.composite
@@ -290,20 +280,21 @@ class TestRrefAtTheFloat64Bound:
             rref(block.astype(np.float64), p)
 
 
-class TestRrefBasisChecks:
+class TestSparsePivotsChecks:
     def test_float64_exactness_limit(self):
+        one = (np.array([0]), np.array([0]), np.array([1]))
         p = 3
-        limit = 2**53 // (p - 1) ** 2  # ncols * (p-1)^2 == 2^53
-        with pytest.raises(ValueError):
-            RrefBasis(limit, p)
+        limit = 2**53 // (p - 1) ** 2  # width * (p-1)^2 == 2^53
+        with pytest.raises(ValueError, match="2\\^53"):
+            sparse_pivots(*one, limit, p)
         big_p = 2**26 + 15  # prime; (p-1)^2 > 2^52
-        with pytest.raises(ValueError):
-            RrefBasis(2, big_p)
-        RrefBasis(1, big_p)
+        with pytest.raises(ValueError, match="2\\^53"):
+            sparse_pivots(*one, 2, big_p)
+        assert sparse_pivots(*one, 1, big_p) == [0]
 
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
-            RrefBasis(4, 3).add_rows(np.array([0, 1]), np.array([0, 4]), np.array([1, 1]))
+            sparse_pivots(np.array([0, 1]), np.array([0, 4]), np.array([1, 1]), 4, 3)
 
     @pytest.mark.parametrize(
         "rows, cols, vals",
@@ -315,11 +306,12 @@ class TestRrefBasisChecks:
             ([-1, 0], [0, 1], [1, 1]),  # negative row
             ([0, 1], [0, 1], [1, 3]),  # value not below p
             ([0, 1], [0, 1], [1]),  # lengths differ
+            ([0, 1], [0, 1], [0, 1]),  # a zero value: a zero lead has no inverse
         ],
     )
     def test_rejects_malformed_entries(self, rows, cols, vals):
         with pytest.raises(ValueError):
-            RrefBasis(4, 3).add_rows(np.array(rows), np.array(cols), np.array(vals))
+            sparse_pivots(np.array(rows), np.array(cols), np.array(vals), 4, 3)
 
 
 @given(st.sampled_from([3, 5, 7, 11, 2**26 + 15]), st.lists(st.integers(-(2**53) + 1, 2**53 - 1), max_size=50))

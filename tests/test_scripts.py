@@ -54,6 +54,8 @@ def test_bench_writes_its_report(tmp_path):
     assert all(w["presentation_s"] >= 0 and w["oracle_s"] >= 0 for w in weights)
     # each figure is rounded to 0.1 ms
     assert all(0 <= w["oracle_rows_s"] + w["oracle_elim_s"] <= w["oracle_s"] + 2e-4 for w in weights)
+    assert all(0 <= w["presentation_rows_s"] + w["presentation_elim_s"] <= w["presentation_s"] + 2e-4
+               for w in weights)
     # command lines run end to end only, with the same output on each run
     assert (lz["job"], rt["job"]) == (localize, ro_table)
     for other in (lz, rt):

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phiring.charspace import GroupContext, enumerate_characters, enumerate_lines
@@ -17,6 +17,8 @@ from phiring.superalg import (
     monomial_basis,
     monomial_codes,
     quotient_dimension,
+    _macaulay_entries,
+    _quotient_data,
 )
 from monomial_reference import encode, free_monomials, reference_free_monomials
 
@@ -327,6 +329,37 @@ class TestQuotientAgainstReference:
                     if not el.is_zero():
                         rels.append(el)
                 assert_matches_reference(Presentation(GroupContext(p, 2), lines, tuple(rels)), 5)
+
+
+def row_reducer_pivots(pres, weight):
+    """Pivot columns of the weight-w Macaulay entries fed row by row to
+    RowReducer, over all columns at once."""
+    position = {k: i for i, k in enumerate(sorted(pres.gens))}
+    codes = monomial_codes(len(position), weight)
+    by_row = {}
+    for r, c, v in zip(*(a.tolist() for a in _macaulay_entries(pres, weight, position, codes))):
+        by_row.setdefault(r, []).append((c, v))
+    red = RowReducer(len(codes), pres.ctx.p)
+    for items in by_row.values():
+        red.add_row(items)
+    return red.pivot_columns
+
+
+class TestQuotientDataAgainstRowReducer:
+    """_quotient_data eliminates the Macaulay entries by odd-degree block
+    with modp.sparse_pivots; RowReducer takes the same entries whole."""
+
+    @settings(max_examples=20)
+    @given(st.sets(st.sampled_from(enumerate_lines(GroupContext(3, 3))), min_size=1, max_size=8))
+    def test_random_line_sets(self, lines):
+        pres = line_presentation(GroupContext(3, 3), lines)
+        for w in range(6):
+            assert tuple(_quotient_data(pres, w)[1]) == row_reducer_pivots(pres, w), w
+
+    def test_verbatim_presentation(self):
+        pres = verbatim_presentation(CTX32)
+        for w in range(6):
+            assert tuple(_quotient_data(pres, w)[1]) == row_reducer_pivots(pres, w), w
 
 
 class TestPresentationValidation:
