@@ -15,7 +15,7 @@ import json
 import os
 import random
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 from . import charspace, modp, oracle, phi, rograde, ssq, superalg
 from .charspace import Character, GroupContext
@@ -403,7 +403,10 @@ def run(config: argparse.Namespace) -> tuple[int, str]:
     return (0 if ok else 1), text
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and then kept: every
+    default in _COMMANDS is immutable, so parses share nothing."""
     parser = argparse.ArgumentParser(
         prog="phiring",
         description="Exact coefficient-ring tables for (Z/p)^n-equivariant cohomology",

@@ -6,7 +6,9 @@ character triple a+b+c = 0 on three distinct lines contributes one relation
 of each flavor (even triple, three cyclic mixed variants, odd triple), with
 scalar coefficients obtained by rewriting characters through the canonical
 line reps: t over k*chi is 1/k times the line generator, u over k*chi is the
-line generator on the nose.
+line generator on the nose.  The families of all triples are written at once
+as a superalg term table, 18 terms per triple, with no SuperElement
+arithmetic.
 
 Verbatim mode skips the line rewrite and keeps one generator pair per raw
 character, with the scalar identifications t_chi = k*t_(k*chi) as explicit
@@ -20,83 +22,80 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .charspace import (
     Character,
     GroupContext,
     Line,
-    canonicalize,
     enumerate_characters,
     enumerate_lines,
     zero_sum_triples,
 )
 from .modp import inverse_mod
 from .oracle import subring_hilbert
-from .superalg import Presentation, SuperElement, SuperMonomial, quotient_dimension
+from .superalg import Presentation, quotient_dimension
+
+# The five relation families of a zero-sum triple, in order: the even
+# triple, the three cyclic mixed variants and the odd triple, 18 terms in
+# all.  A term is (family, slot a, kind a, slot b, kind b, sign): sign
+# times the product of generator kind a of the triple's slot a with
+# generator kind b of slot b, a kind being 2 for t and 1 for u, so that
+# the two kinds add up to the term's code.
+_T, _U = 2, 1
+_TRIPLE_TERMS = (
+    [(0, a, _T, b, _T, 1) for a, b in ((0, 1), (1, 2), (2, 0))]
+    + [
+        term
+        for family, (i, j, k) in enumerate(((0, 1, 2), (1, 2, 0), (2, 0, 1)), start=1)
+        for term in ((family, i, _U, j, _T, 1), (family, i, _U, k, _T, 1),
+                     (family, j, _U, k, _T, -1), (family, k, _U, j, _T, -1))
+    ]
+    + [(4, a, _U, b, _U, 1) for a, b in ((0, 1), (1, 2), (2, 0))]
+)
+_FAMILIES = 5
 
 
-def _t(p: int, key, scale_inv: int = 1) -> SuperElement:
-    return SuperElement.from_monomial(p, SuperMonomial.t(key), scale_inv)
+def _triple_table(positions: np.ndarray, t_coefs: np.ndarray, width: int):
+    """The term table (codes, coefficients, relation ids) of the five
+    families on each triple: positions[r] holds the code columns of triple
+    r's three generators and t_coefs[r] the scalars its t's carry; triple r
+    owns relations 5r to 5r + 4.
 
-
-def _u(p: int, key) -> SuperElement:
-    return SuperElement.from_monomial(p, SuperMonomial.u(key))
-
-
-def relation_families(
-    triple: tuple[Character, Character, Character],
-    ctx: GroupContext,
-    rewrite_to_lines: bool = True,
-) -> list[SuperElement]:
-    """The five relations attached to one zero-sum character triple: the even
-    triple, the three cyclic mixed variants, and the odd triple.
-
-    With rewrite_to_lines the generators are the canonical lines and scalars
-    move into coefficients; otherwise the raw characters are the keys.
-    Identically-zero instantiations (every collinear triple rewrites to 0)
-    are filtered out by the caller.
-    """
-    p = ctx.p
-    if any(sum(cs) % p for cs in zip(*(chi.coords for chi in triple))):
-        raise ValueError("characters must sum to zero")
-    if rewrite_to_lines:
-        keys = []
-        t_coeffs = []
-        for chi in triple:
-            line, scale = canonicalize(chi, ctx)
-            keys.append(line)
-            t_coeffs.append(inverse_mod(scale, p))
-    else:
-        keys = list(triple)
-        t_coeffs = [1, 1, 1]
-
-    def t(i):
-        return _t(p, keys[i], t_coeffs[i])
-
-    def u(i):
-        return _u(p, keys[i])
-
-    rels = [t(0) * t(1) + t(1) * t(2) + t(2) * t(0)]
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        rels.append(u(i) * t(j) + u(i) * t(k) - u(j) * t(k) - u(k) * t(j))
-    rels.append(u(0) * u(1) + u(1) * u(2) + u(2) * u(0))
-    return rels
+    A product u_a u_b takes the Koszul sign of putting its factors in key
+    order: -1 when b comes first, and 0 when a and b are one generator (u
+    squares to 0); such a zero term's code reads as a t, and normalising
+    drops it."""
+    family, slot_a, kind_a, slot_b, kind_b, sign = np.array(_TRIPLE_TERMS).T
+    pos_a, pos_b = positions[:, slot_a], positions[:, slot_b]
+    coefs = (sign * np.where(kind_a == _T, t_coefs[:, slot_a], 1)
+             * np.where(kind_b == _T, t_coefs[:, slot_b], 1))
+    coefs = np.where((kind_a == _U) & (kind_b == _U), coefs * np.sign(pos_b - pos_a), coefs)
+    terms = np.arange(pos_a.size)
+    codes = np.zeros((pos_a.size, width), dtype=np.uint8)
+    codes[terms, pos_a.ravel()] = np.tile(kind_a, len(positions))
+    codes[terms, pos_b.ravel()] += np.tile(kind_b, len(positions)).astype(np.uint8)
+    rel = (_FAMILIES * np.arange(len(positions))[:, None] + family).ravel()
+    return codes, coefs.ravel(), rel
 
 
 def line_presentation(ctx: GroupContext, lines) -> Presentation:
     """Presentation on the given lines whose relations are exactly the
-    triple families instantiated on zero-sum triples inside the set."""
+    triple families instantiated on zero-sum triples inside the set.
+
+    A triple a*L1 + b*L2 + L3 = 0 has characters a*L1.rep, b*L2.rep and
+    L3.rep: t over k*chi is 1/k times the line's t, u over it is the line's
+    u, so the t's carry 1/a, 1/b and 1.  Its lines come in key order, so the
+    only Koszul sign is the -1 on u_L3 u_L1."""
     lines = tuple(sorted(set(lines)))
-    relations = []
-    for l1, l2, l3, a, b, c in zero_sum_triples(lines, ctx):
-        triple = (
-            l1.rep.scaled(a, ctx.p),
-            l2.rep.scaled(b, ctx.p),
-            l3.rep.scaled(c, ctx.p),
-        )
-        for rel in relation_families(triple, ctx, rewrite_to_lines=True):
-            if not rel.is_zero():
-                relations.append(rel)
-    return Presentation(ctx, lines, tuple(relations))
+    p = ctx.p
+    index = {line: i for i, line in enumerate(lines)}
+    triples = zero_sum_triples(lines, ctx)
+    positions = np.array([[index[l1], index[l2], index[l3]] for l1, l2, l3, *_ in triples],
+                         dtype=np.intp).reshape(len(triples), 3)
+    t_coefs = np.array([[inverse_mod(k, p) for k in triple[3:]] for triple in triples],
+                       dtype=np.int64).reshape(len(triples), 3)
+    return Presentation(ctx, lines, *_triple_table(positions, t_coefs, max(len(lines), 1)))
 
 
 def character_zero_sum_triples(ctx: GroupContext) -> list[tuple[Character, Character, Character]]:
@@ -122,20 +121,31 @@ def character_zero_sum_triples(ctx: GroupContext) -> list[tuple[Character, Chara
 def verbatim_presentation(ctx: GroupContext) -> Presentation:
     """One generator pair per raw character; relations are the literal four
     families: scalar identifications of the t's and the three triple flavors
-    over every zero-sum character triple."""
+    over every zero-sum character triple.
+
+    The scalar identification t_chi = k*t_(k*chi), for k = 2..p-1, comes
+    first for each character; the triple families follow, with every t
+    carrying 1.  Normalising cancels what a collinear triple makes 0."""
     p = ctx.p
     chars = tuple(enumerate_characters(ctx))
-    relations = []
-    for chi in chars:
-        for k in range(2, p):
-            rel = _t(p, chi) - _t(p, chi.scaled(k, p), k)
-            if not rel.is_zero():
-                relations.append(rel)
-    for triple in character_zero_sum_triples(ctx):
-        for rel in relation_families(triple, ctx, rewrite_to_lines=False):
-            if not rel.is_zero():
-                relations.append(rel)
-    return Presentation(ctx, chars, tuple(relations))
+    index = {chi: i for i, chi in enumerate(chars)}
+    scalings = [(index[chi], index[chi.scaled(k, p)], k) for chi in chars for k in range(2, p)]
+    scalar_pos = np.array([(i, j) for i, j, _ in scalings], dtype=np.intp).reshape(-1)
+    scalar_codes = np.zeros((len(scalar_pos), len(chars)), dtype=np.uint8)
+    scalar_codes[np.arange(len(scalar_pos)), scalar_pos] = _T
+    scalar_coefs = np.array([c for *_, k in scalings for c in (1, -k)], dtype=np.int64)
+    scalar_rel = np.repeat(np.arange(len(scalings)), 2)
+    triples = character_zero_sum_triples(ctx)
+    positions = np.array([[index[chi] for chi in triple] for triple in triples],
+                         dtype=np.intp).reshape(len(triples), 3)
+    codes, coefs, rel = _triple_table(positions, np.ones_like(positions), len(chars))
+    return Presentation(
+        ctx,
+        chars,
+        np.concatenate((scalar_codes, codes)),
+        np.concatenate((scalar_coefs, coefs)),
+        np.concatenate((scalar_rel, len(scalings) + rel)),
+    )
 
 
 def build_phi_presentation(ctx: GroupContext, verbatim_mode: bool = False) -> Presentation:

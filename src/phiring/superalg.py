@@ -5,8 +5,16 @@ Each generator key (a line, or a raw character in verbatim presentations)
 carries an even generator t of weight 2 and an odd generator u of weight 1.
 Monomials are normalized: t-exponents as a sorted mapping, the odd part as a
 strictly increasing key tuple, with Koszul signs picked up when odd factors
-are merged.  Quotient dimensions of homogeneous ideals are computed one
-weight at a time by row reduction of the Macaulay matrix, never by a Groebner
+are merged.
+
+The computing form of a monomial is a code row, one entry per generator in
+key order holding 2*t + u: monomial_codes lists the free monomials of a
+weight that way, and a Presentation holds its relations as one term table of
+code rows with coefficients and relation ids, normalised and grouped by
+weight once.  SuperMonomial and SuperElement are the readable form: decoded
+relations, phi-basis output and the tests' references.  Quotient dimensions
+of homogeneous ideals are computed one weight at a time by row reduction of
+the Macaulay matrix, assembled from the term table, never by a Groebner
 basis: the ideal is homogeneous, so the weight-w truncation is exact.
 """
 
@@ -14,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Sequence
 
@@ -186,23 +195,128 @@ class SuperElement:
         return " + ".join("%d*%s" % (c, m) for m, c in sorted(self.terms.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Presentation:
-    """An arrangement of generator keys plus homogeneous relations."""
+    """An arrangement of generator keys plus homogeneous relations, held as
+    one term table in the monomial_codes form: codes has one row per
+    relation term and one column per generator in key order, sorted(gens),
+    holding 2*t + u (one zero column if there are no generators); coefs
+    holds each term's coefficient and rel the id of its relation.
+
+    Construction normalises the table: equal monomials within a relation
+    merge, coefficients are reduced mod p, zero terms are dropped, and so
+    are relations left with no term; the others are renumbered from 0 in
+    their order.  It then computes each relation's weight, the weight
+    groups, and whether every relation is bihomogeneous (one odd degree),
+    and raises ValueError on a table of the wrong shape or an inhomogeneous
+    relation.  The terms are stored by relation weight, then relation id;
+    weight_groups holds, per relation weight in ascending order, that
+    weight, its terms' codes and coefficients, each term's relation as an
+    index among the group's relations, and the number of those relations.
+    """
 
     ctx: GroupContext
     gens: tuple
-    relations: tuple[SuperElement, ...] = ()
+    codes: np.ndarray | None = None
+    coefs: np.ndarray | None = None
+    rel: np.ndarray | None = None
+    relation_weights: np.ndarray = field(init=False, repr=False)
+    weight_groups: tuple = field(init=False, repr=False)
+    bihomogeneous: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        gen_set = set(self.gens)
-        for rel in self.relations:
-            rel.weight()  # raises on inhomogeneous input
-            if rel.is_zero():
+        gens = tuple(self.gens)
+        if len(set(gens)) != len(gens):
+            raise ValueError("generators must be distinct")
+        width = max(len(gens), 1)
+        codes = np.asarray(np.zeros((0, width), dtype=np.uint8) if self.codes is None else self.codes)
+        coefs = np.asarray(() if self.coefs is None else self.coefs, dtype=np.int64)
+        rel = np.asarray(() if self.rel is None else self.rel, dtype=np.int64)
+        if codes.ndim != 2 or codes.shape[1] != width or not len(codes) == len(coefs) == len(rel):
+            raise ValueError("the term table needs one code column per generator, and one "
+                             "coefficient and relation id per term")
+        if codes.min(initial=0) < 0 or rel.min(initial=0) < 0 or (not gens and codes.any()):
+            raise ValueError("relation uses a generator outside the arrangement")
+        codes = codes.astype(np.min_scalar_type(int(codes.sum(axis=1).max(initial=1))))
+        codes, coefs, rel = _normalised(codes, coefs, rel, self.ctx.p)
+        weight = codes.sum(axis=1, dtype=np.int64)
+        first = np.searchsorted(rel, np.arange(rel[-1] + 1 if len(rel) else 0))
+        rel_weight = weight[first]
+        if (weight != rel_weight[rel]).any():
+            bad = int(rel[np.argmax(weight != rel_weight[rel])])
+            raise ValueError("inhomogeneous relation %d, weights %s"
+                             % (bad, sorted(set(weight[rel == bad].tolist()))))
+        odd = (codes & 1).sum(axis=1, dtype=np.int64)
+        bihomogeneous = bool((odd == odd[first][rel]).all())
+        order = np.argsort(weight, kind="stable")
+        codes = codes[order]
+        coefs, rel, weight = coefs[order], rel[order], weight[order]
+        for a in (codes, coefs, rel, rel_weight):
+            a.flags.writeable = False
+        groups = []
+        bounds = np.flatnonzero(np.diff(weight, prepend=-1, append=-1))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            # the group's terms come by relation id, so a new id starts the next relation
+            local = np.cumsum(np.diff(rel[lo:hi], prepend=-1) != 0) - 1
+            groups.append((int(weight[lo]), codes[lo:hi], coefs[lo:hi], local, int(local[-1]) + 1))
+        for name, value in (("gens", gens), ("codes", codes), ("coefs", coefs), ("rel", rel),
+                            ("relation_weights", rel_weight), ("weight_groups", tuple(groups)),
+                            ("bihomogeneous", bihomogeneous)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_elements(cls, ctx: GroupContext, gens, elements) -> "Presentation":
+        """The presentation whose relations are the given SuperElements, in
+        order; ValueError on a zero relation or one that uses a generator
+        outside gens.  This is the one encoder of monomials as code rows."""
+        gens = tuple(gens)
+        position = {k: i for i, k in enumerate(sorted(gens))}
+        terms = []
+        for i, element in enumerate(elements):
+            if element.is_zero():
                 raise ValueError("zero relation carries no information; drop it")
-            for m in rel.terms:
-                if not m.keys() <= gen_set:
-                    raise ValueError("relation uses a generator outside the arrangement")
+            terms.extend((i, m, c) for m, c in element.terms.items())
+        codes = np.zeros((len(terms), max(len(gens), 1)), dtype=np.int64)
+        for row, (_, m, _) in zip(codes, terms):
+            if not m.keys() <= position.keys():
+                raise ValueError("relation uses a generator outside the arrangement")
+            for k, e in m.t_exp:
+                row[position[k]] = 2 * e
+            for k in m.u_set:
+                row[position[k]] += 1
+        return cls(ctx, gens, codes, [c for _, _, c in terms], [i for i, _, _ in terms])
+
+    @property
+    def keys(self) -> tuple:
+        """The generators in key order, one per code column."""
+        return tuple(sorted(self.gens))
+
+    @cached_property
+    def relations(self) -> tuple[SuperElement, ...]:
+        """The relations decoded as SuperElements, by relation id."""
+        out = [{} for _ in self.relation_weights]
+        monomials = _decode(self.codes, self.keys)
+        for r, m, c in zip(self.rel.tolist(), monomials, self.coefs.tolist()):
+            out[r][m] = c
+        return tuple(SuperElement(self.ctx.p, terms) for terms in out)
+
+
+def _normalised(codes: np.ndarray, coefs: np.ndarray, rel: np.ndarray, p: int):
+    """The term table with equal monomials of one relation merged,
+    coefficients reduced into [1, p), zero terms dropped, and relations
+    renumbered from 0 in order of their old ids, those left with no term
+    dropped; terms come by relation id."""
+    order = np.argsort(_packed(codes), kind="stable")
+    order = order[np.argsort(rel[order], kind="stable")]
+    codes, coefs, rel = codes[order], coefs[order], rel[order]
+    new = np.ones(len(rel), dtype=bool)
+    new[1:] = (rel[1:] != rel[:-1]) | (codes[1:] != codes[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    coefs = np.add.reduceat(coefs, starts) % p if len(starts) else coefs
+    nonzero = coefs != 0
+    live = starts[nonzero]
+    rel = np.cumsum(np.diff(rel[live], prepend=-1) != 0) - 1
+    return codes[live], coefs[nonzero], rel
 
 
 def exponent_rows(n: int, degree: int) -> np.ndarray:
@@ -219,6 +333,7 @@ def exponent_rows(n: int, degree: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=slots)[::-1] - 1
 
 
+@lru_cache(maxsize=None)
 def monomial_codes(num_gens: int, weight: int) -> np.ndarray:
     """The free monomials of exact weight on num_gens generator pairs: one
     row each, one column per generator in key order holding 2*t + u (one
@@ -226,19 +341,22 @@ def monomial_codes(num_gens: int, weight: int) -> np.ndarray:
     the smallest dtype that holds the weight.  Rows are sorted by odd
     length, then odd part as the increasing tuple of its positions, then
     t-exponent vector, each ascending, so each odd length is a contiguous
-    range."""
+    range.  Computed once per arguments; the array is read-only."""
     if num_gens < 0 or weight < 0:
         raise ValueError("arguments must be nonnegative")
     dtype = np.min_scalar_type(max(weight, 1))
     if not num_gens:
-        return np.zeros((int(weight == 0), 1), dtype=dtype)
-    # each vector of entries summing to the weight codes exactly one monomial
-    codes = exponent_rows(num_gens, weight)
-    odd = codes & 1
-    # lexsort's last key sorts first; an earlier odd part has 1 at the first
-    # position where the two differ
-    order = np.lexsort((*(codes >> 1).T[::-1], *(1 - odd).T[::-1], odd.sum(axis=1)))
-    return codes[order].astype(dtype)
+        codes = np.zeros((int(weight == 0), 1), dtype=dtype)
+    else:
+        # each vector of entries summing to the weight codes exactly one monomial
+        codes = exponent_rows(num_gens, weight)
+        odd = codes & 1
+        # lexsort's last key sorts first; an earlier odd part has 1 at the
+        # first position where the two differ
+        order = np.lexsort((*(codes >> 1).T[::-1], *(1 - odd).T[::-1], odd.sum(axis=1)))
+        codes = codes[order].astype(dtype)
+    codes.flags.writeable = False
+    return codes
 
 
 def _decode(codes: np.ndarray, keys: Sequence) -> list[SuperMonomial]:
@@ -267,32 +385,20 @@ def free_monomial_count(num_gens: int, weight: int) -> int:
 _SLAB_PRODUCTS = 1 << 16
 
 
-def _encode(monomials: Sequence[SuperMonomial], position: dict, dtype) -> np.ndarray:
-    """One row per monomial, one column per generator in key order, holding
-    2*(t-exponent) + (1 if the odd generator occurs).  With no generators
-    one zero column remains, so that the packed keys are not empty."""
-    codes = np.zeros((len(monomials), max(len(position), 1)), dtype=dtype)
-    for i, m in enumerate(monomials):
-        row = codes[i]
-        for k, e in m.t_exp:
-            row[position[k]] = 2 * e
-        for k in m.u_set:
-            row[position[k]] += 1
-    return codes
-
-
 def _packed(codes: np.ndarray) -> np.ndarray:
     """Each code row as one opaque key that numpy can sort and search."""
     codes = np.ascontiguousarray(codes)
     return codes.view(np.dtype((np.void, codes.shape[1] * codes.itemsize))).ravel()
 
 
-def _macaulay_entries(pres: Presentation, weight: int, position: dict, basis_codes: np.ndarray):
+def _macaulay_entries(pres: Presentation, weight: int, basis_codes: np.ndarray):
     """Sparse entries (row, column, coefficient mod p) of the weight-w
     Macaulay matrix: one row per relation times free monomial of the
     complementary weight, relation on the left, vanishing rows omitted.
+    Rows run over the weight groups in ascending weight, by relation, then
+    by shift.
 
-    Generator positions are in key order, the order merge_odd uses, so the
+    The code columns are in key order, the order merge_odd uses, so the
     Koszul sign of rel_term * shift is (-1) to the number of pairs (a, b)
     of odd generators, a in the term and b in the shift, with b before a.
     """
@@ -300,25 +406,19 @@ def _macaulay_entries(pres: Presentation, weight: int, position: dict, basis_cod
     keys = _packed(basis_codes)
     order = np.argsort(keys)
     sorted_keys = keys[order]
-    by_weight: dict[int, list[SuperElement]] = {}
-    for rel in pres.relations:
-        w_rel = rel.weight()
-        if w_rel <= weight:
-            by_weight.setdefault(w_rel, []).append(rel)
     rows, cols, vals = [], [], []
     row_base = 0
-    for w_rel, rels in sorted(by_weight.items()):
-        shift_codes = monomial_codes(len(position), weight - w_rel)
+    for w_rel, term_codes, term_coef, term_rel, n_rels in pres.weight_groups:
+        if w_rel > weight:
+            break
+        shift_codes = monomial_codes(len(pres.gens), weight - w_rel)
         n_shifts = len(shift_codes)
         shift_odd = (shift_codes & 1).astype(np.float64)
         # number of odd generators of each shift strictly before each position
         shift_before = np.cumsum(shift_odd, axis=1) - shift_odd
-        terms = [(i, m, c) for i, rel in enumerate(rels) for m, c in rel.terms.items()]
-        term_codes = _encode([m for _, m, _ in terms], position, basis_codes.dtype)
-        term_rel = np.array([i for i, _, _ in terms], dtype=np.int64)
-        term_coef = np.array([c for _, _, c in terms], dtype=np.int64)
+        term_codes = term_codes.astype(basis_codes.dtype, copy=False)
         step = max(1, _SLAB_PRODUCTS // max(n_shifts, 1))
-        for lo in range(0, len(terms), step):
+        for lo in range(0, len(term_codes), step):
             codes = term_codes[lo : lo + step]
             odd = (codes & 1).astype(np.float64)
             term, shift = np.nonzero(odd @ shift_odd.T == 0)
@@ -327,7 +427,7 @@ def _macaulay_entries(pres: Presentation, weight: int, position: dict, basis_cod
             rows.append(row_base + term_rel[lo + term] * n_shifts + shift)
             cols.append(order[found].astype(np.int32))
             vals.append((term_coef[lo + term] * (1 - 2 * (inversions & 1)) % p).astype(np.int32))
-        row_base += len(rels) * n_shifts
+        row_base += n_rels * n_shifts
     if not rows:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
@@ -352,14 +452,12 @@ def _quotient_data(
     """
     start = time.perf_counter()
     p = pres.ctx.p
-    position = {k: i for i, k in enumerate(sorted(pres.gens))}
-    codes = monomial_codes(len(position), weight)
+    codes = monomial_codes(len(pres.gens), weight)
     if not len(codes):
         return codes, []
-    rows, cols, vals = _macaulay_entries(pres, weight, position, codes)
+    rows, cols, vals = _macaulay_entries(pres, weight, codes)
     odd = (codes & 1).sum(1)
-    bihomogeneous = all(len({m.odd_degree for m in rel.terms}) == 1 for rel in pres.relations)
-    block_of_col = odd if bihomogeneous else np.zeros_like(odd)
+    block_of_col = odd if pres.bihomogeneous else np.zeros_like(odd)
     n_blocks = int(block_of_col.max()) + 1
     col_bounds = np.searchsorted(block_of_col, np.arange(n_blocks + 1))
     blocks = block_of_col[cols]
@@ -392,4 +490,4 @@ def monomial_basis(pres: Presentation, weight: int) -> tuple[SuperMonomial, ...]
     """Monomials spanning the quotient: the pivot-free columns of the
     eliminated Macaulay matrix, in the fixed monomial order."""
     codes, pivots = _quotient_data(pres, weight)
-    return tuple(_decode(np.delete(codes, pivots, axis=0), sorted(pres.gens)))
+    return tuple(_decode(np.delete(codes, pivots, axis=0), pres.keys))

@@ -1,0 +1,77 @@
+"""Reference for the relations of the phi presentations: the five triple
+families written with SuperElement arithmetic, one product at a time.
+phi builds the same relations as a term table; its decoded relations must
+equal these exactly, coefficients and signs included."""
+
+from phiring.charspace import canonicalize, enumerate_characters, zero_sum_triples
+from phiring.modp import inverse_mod
+from phiring.phi import character_zero_sum_triples
+from phiring.superalg import SuperElement, SuperMonomial
+
+
+def _t(p, key, scale_inv=1):
+    return SuperElement.from_monomial(p, SuperMonomial.t(key), scale_inv)
+
+
+def _u(p, key):
+    return SuperElement.from_monomial(p, SuperMonomial.u(key))
+
+
+def relation_families(triple, ctx, rewrite_to_lines=True):
+    """The five relations attached to one zero-sum character triple: the even
+    triple, the three cyclic mixed variants, and the odd triple.
+
+    With rewrite_to_lines the generators are the canonical lines and scalars
+    move into coefficients; otherwise the raw characters are the keys.
+    Identically-zero instantiations are left in."""
+    p = ctx.p
+    if any(sum(cs) % p for cs in zip(*(chi.coords for chi in triple))):
+        raise ValueError("characters must sum to zero")
+    if rewrite_to_lines:
+        keys = []
+        t_coeffs = []
+        for chi in triple:
+            line, scale = canonicalize(chi, ctx)
+            keys.append(line)
+            t_coeffs.append(inverse_mod(scale, p))
+    else:
+        keys = list(triple)
+        t_coeffs = [1, 1, 1]
+
+    def t(i):
+        return _t(p, keys[i], t_coeffs[i])
+
+    def u(i):
+        return _u(p, keys[i])
+
+    rels = [t(0) * t(1) + t(1) * t(2) + t(2) * t(0)]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        rels.append(u(i) * t(j) + u(i) * t(k) - u(j) * t(k) - u(k) * t(j))
+    rels.append(u(0) * u(1) + u(1) * u(2) + u(2) * u(0))
+    return rels
+
+
+def line_relations(ctx, lines):
+    """The nonzero families on the zero-sum triples inside the line set, in
+    triple order."""
+    out = []
+    for l1, l2, l3, a, b, c in zero_sum_triples(sorted(set(lines)), ctx):
+        triple = (l1.rep.scaled(a, ctx.p), l2.rep.scaled(b, ctx.p), l3.rep.scaled(c, ctx.p))
+        out.extend(rel for rel in relation_families(triple, ctx) if not rel.is_zero())
+    return tuple(out)
+
+
+def verbatim_relations(ctx):
+    """The scalar identifications t_chi - k*t_(k*chi), then the nonzero
+    families on every zero-sum character triple."""
+    p = ctx.p
+    out = []
+    for chi in enumerate_characters(ctx):
+        for k in range(2, p):
+            rel = _t(p, chi) - _t(p, chi.scaled(k, p), k)
+            if not rel.is_zero():
+                out.append(rel)
+    for triple in character_zero_sum_triples(ctx):
+        out.extend(rel for rel in relation_families(triple, ctx, rewrite_to_lines=False)
+                   if not rel.is_zero())
+    return tuple(out)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from phiring import cli, phi, rograde, superalg
+from phiring import cli, rograde, superalg
 
 
 def run_cli(argv, capsys):
@@ -97,38 +97,28 @@ class TestVerify:
 
 
     @pytest.mark.parametrize(
-        "argv, module, builder",
+        "argv",
         [
-            (["phi-verify", "--p", "7", "--n", "2", "--cutoff", "5"], phi,
-             "build_phi_presentation"),
-            (["localize", "--p", "3", "--n", "3", "--cutoff", "5", "--lines",
-              "1,0,0;0,1,0;1,1,0;1,1,1"], rograde, "line_presentation"),
+            ["phi-verify", "--p", "7", "--n", "2", "--cutoff", "5"],
+            ["localize", "--p", "3", "--n", "3", "--cutoff", "5", "--lines",
+             "1,0,0;0,1,0;1,1,0;1,1,1"],
         ],
         ids=["phi-verify", "localize"],
     )
-    def test_routes_construct_no_monomial_objects(self, argv, module, builder, capsys,
-                                                  monkeypatch):
-        # both routes read the free monomials as code rows: SuperMonomials
-        # are built only while the presentation's relations are
-        built, inside = [0], [0]
+    def test_routes_construct_no_monomial_objects(self, argv, capsys, monkeypatch):
+        # both routes, presentation building included, read monomials as
+        # code rows only: no SuperMonomial is built
+        built = [0]
         post_init = superalg.SuperMonomial.__post_init__
-        build = getattr(module, builder)
 
         def counting_post_init(m):
             built[0] += 1
             post_init(m)
 
-        def counting_build(*args, **kwargs):
-            before = built[0]
-            pres = build(*args, **kwargs)
-            inside[0] += built[0] - before
-            return pres
-
         monkeypatch.setattr(superalg.SuperMonomial, "__post_init__", counting_post_init)
-        monkeypatch.setattr(module, builder, counting_build)
         code, _, _ = run_cli(argv, capsys)
         assert code in (0, 1)
-        assert inside[0] > 0 and built[0] == inside[0]
+        assert built[0] == 0
 
 
 class TestUsageErrors:
@@ -225,6 +215,33 @@ class TestUsageErrors:
             del os.environ[cli.BUDGET_ENV]
         assert code == 2
         assert "budget" in err
+
+
+class TestParserReuse:
+    # the parser is built once per process; parses share no state
+
+    def test_two_parses_are_independent(self, tmp_path):
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps({"p": 3, "n": 2, "lines": [[1, 0]]}), encoding="utf-8")
+        argv = ["localize", "--p", "3", "--n", "2", "--cutoff", "2"]
+        first = cli.config_from_args(argv + ["--arrangement", str(path)])
+        os.environ[cli.BUDGET_ENV] = "77"
+        try:
+            second = cli.config_from_args(argv + ["--lines", "0,1"])
+        finally:
+            del os.environ[cli.BUDGET_ENV]
+        assert first is not second
+        assert (first.column_budget, second.column_budget) == (cli.DEFAULT_COLUMN_BUDGET, 77)
+        assert first.arrangement == (3, 2, [[1, 0]]) and second.arrangement is None
+        assert (first.lines_spec, second.lines_spec) == ("", "0,1")
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_refused_parse_then_valid_parse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["series", "--p", "3", "--n", "2", "--cutoff", "3", "--seed", "1"])
+        assert exc.value.code == 2
+        code, out, _ = run_cli(["series", "--p", "3", "--n", "2", "--cutoff", "3"], capsys)
+        assert (code, out) == (0, "1,4,7,10\n")
 
 
 class TestArrangementFile:

@@ -20,7 +20,7 @@ from phiring.oracle import (
     span_rank,
     subring_hilbert,
 )
-from phiring.phi import build_phi_presentation, relation_families
+from phiring.phi import build_phi_presentation
 from phiring.superalg import (
     SuperElement,
     SuperMonomial,
@@ -29,6 +29,7 @@ from phiring.superalg import (
     monomial_codes,
 )
 from monomial_reference import encode, free_monomials
+from relation_reference import relation_families
 from ro_reference import ro_words
 
 

@@ -2,6 +2,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phiring.charspace import Character, GroupContext, enumerate_lines
 from phiring.oracle import relation_image
@@ -10,11 +12,12 @@ from phiring.phi import (
     build_phi_presentation,
     character_zero_sum_triples,
     closed_form_series,
-    relation_families,
+    line_presentation,
     verbatim_presentation,
     verify_phi,
 )
-from phiring.superalg import SuperElement, quotient_dimension
+from phiring.superalg import SuperElement, free_monomial_count, quotient_dimension
+from relation_reference import line_relations, relation_families, verbatim_relations
 
 CTX32 = GroupContext(3, 2)
 
@@ -56,6 +59,40 @@ class TestPresentationShape:
     def test_relations_demand_zero_sum(self):
         with pytest.raises(ValueError):
             relation_families((C(1, 0), C(0, 1), C(1, 1)), CTX32)
+
+
+PHI_CONTEXTS = [GroupContext(p, n) for p, n in ((3, 2), (5, 2), (7, 2), (3, 3), (5, 3))]
+
+
+class TestTermTableAgainstReference:
+    """The term tables decode to the relations the SuperElement reference
+    builds, in order, coefficients and signs included."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_line_subsets(self, data):
+        ctx = data.draw(st.sampled_from(PHI_CONTEXTS), label="ctx")
+        lines = data.draw(st.sets(st.sampled_from(enumerate_lines(ctx)), max_size=9), label="lines")
+        pres = line_presentation(ctx, lines)
+        assert pres.relations == line_relations(ctx, lines)
+        assert pres.gens == tuple(sorted(lines))
+
+    @pytest.mark.parametrize("ctx", PHI_CONTEXTS, ids=str)
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_too_few_lines_give_an_empty_table(self, ctx, size):
+        pres = line_presentation(ctx, enumerate_lines(ctx)[:size])
+        assert pres.relations == () and pres.codes.shape == (0, max(size, 1))
+        assert quotient_dimension(pres, 3) == free_monomial_count(size, 3)
+
+    @pytest.mark.parametrize("ctx", PHI_CONTEXTS[:2], ids=str)
+    def test_verbatim(self, ctx):
+        assert verbatim_presentation(ctx).relations == verbatim_relations(ctx)
+
+    def test_collinear_character_triples_cancel(self):
+        # at p = 3, chi + chi + chi = 0: its even relation 3*t_chi^2 and its
+        # odd relation are 0 and dropped, its mixed ones survive
+        ctx = GroupContext(3, 1)
+        assert len(verbatim_relations(ctx)) == len(verbatim_presentation(ctx).relations) > 0
 
 
 class TestVerbatimPresentation:

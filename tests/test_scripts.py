@@ -136,6 +136,23 @@ def test_no_int64_bound_in_the_package():
     assert stated == []
 
 
+def test_import_builds_no_parser_and_no_table():
+    # importing the CLI is setup every run pays: the parser and the cached
+    # tables are built on first use, never at import
+    code = (
+        "import phiring.cli as cli\n"
+        "from phiring import charspace, oracle, superalg\n"
+        "caches = (cli._build_parser, superalg.monomial_codes, oracle._times_x, oracle._wedge_x,\n"
+        "          charspace.enumerate_lines)\n"
+        "print([f.cache_info().currsize for f in caches])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0, 0]\n"
+
+
 def test_names_perfbench_wraps_exist():
     # perfbench/spans.py wraps these by name, so renaming one breaks
     # perfbench/run.py --trace 1

@@ -182,6 +182,16 @@ class TestFreeMonomials:
             assert np.array_equal(codes, encode(reference_free_monomials(keys, w), keys)[1]), w
             assert codes.shape[1] == max(g, 1) and codes.dtype == np.uint8
 
+    @pytest.mark.parametrize("g, w", [(0, 0), (0, 2), (3, 4), (6, 5)])
+    def test_codes_are_cached_and_read_only(self, g, w):
+        codes = monomial_codes(g, w)
+        assert codes is monomial_codes(g, w)
+        assert not codes.flags.writeable
+        with pytest.raises(ValueError):
+            codes[...] = 0
+        fresh = monomial_codes.__wrapped__(g, w)
+        assert fresh is not codes and np.array_equal(fresh, codes) and fresh.dtype == codes.dtype
+
     def test_count_rejects_negative(self):
         for args in ((-1, 0), (0, -1), (3, -2)):
             with pytest.raises(ValueError):
@@ -215,7 +225,7 @@ class TestQuotient:
         pres = phi_pres()
         dims = []
         for k in range(0, len(pres.relations) + 1, 4):
-            partial = Presentation(CTX32, pres.gens, pres.relations[:k])
+            partial = Presentation.from_elements(CTX32, pres.gens, pres.relations[:k])
             dims.append(tuple(quotient_dimension(partial, w) for w in range(5)))
         for a, b in zip(dims, dims[1:]):
             assert all(x >= y for x, y in zip(a, b))
@@ -259,7 +269,7 @@ class TestQuotient:
         for _ in range(2):
             rels = list(pres.relations)
             rng.shuffle(rels)
-            shuffled = Presentation(CTX32, pres.gens, tuple(rels))
+            shuffled = Presentation.from_elements(CTX32, pres.gens, tuple(rels))
             for w in range(5):
                 assert quotient_dimension(shuffled, w) == quotient_dimension(pres, w)
                 assert monomial_basis(shuffled, w) == monomial_basis(pres, w)
@@ -314,7 +324,8 @@ class TestQuotientAgainstReference:
             gens = list(pres.gens)
             random.Random(1).shuffle(gens)
             assert gens != sorted(gens)
-            assert_matches_reference(Presentation(ctx, tuple(gens), pres.relations), cutoff)
+            assert_matches_reference(
+                Presentation.from_elements(ctx, tuple(gens), pres.relations), cutoff)
 
     def test_relations_mixing_odd_degrees(self):
         rng = random.Random(8)
@@ -328,16 +339,16 @@ class TestQuotientAgainstReference:
                                           for m in free_monomials(lines, w) if rng.random() < 0.3})
                     if not el.is_zero():
                         rels.append(el)
-                assert_matches_reference(Presentation(GroupContext(p, 2), lines, tuple(rels)), 5)
+                pres = Presentation.from_elements(GroupContext(p, 2), lines, tuple(rels))
+                assert_matches_reference(pres, 5)
 
 
 def row_reducer_pivots(pres, weight):
     """Pivot columns of the weight-w Macaulay entries fed row by row to
     RowReducer, over all columns at once."""
-    position = {k: i for i, k in enumerate(sorted(pres.gens))}
-    codes = monomial_codes(len(position), weight)
+    codes = monomial_codes(len(pres.gens), weight)
     by_row = {}
-    for r, c, v in zip(*(a.tolist() for a in _macaulay_entries(pres, weight, position, codes))):
+    for r, c, v in zip(*(a.tolist() for a in _macaulay_entries(pres, weight, codes))):
         by_row.setdefault(r, []).append((c, v))
     red = RowReducer(len(codes), pres.ctx.p)
     for items in by_row.values():
@@ -366,13 +377,26 @@ class TestPresentationValidation:
     def test_rejects_inhomogeneous_relation(self):
         el = SuperElement(3, {t(LINES32[0]): 1, u(LINES32[0]): 1})
         with pytest.raises(ValueError):
-            Presentation(CTX32, LINES32, (el,))
+            Presentation.from_elements(CTX32, LINES32, (el,))
 
     def test_rejects_zero_relation(self):
         with pytest.raises(ValueError):
-            Presentation(CTX32, LINES32, (SuperElement.zero(3),))
+            Presentation.from_elements(CTX32, LINES32, (SuperElement.zero(3),))
+
+    def test_table_is_normalised(self):
+        # p = 3: relation 0 merges to 3*t0 = 0 and relation 1 is 3*t1 = 0, so
+        # both are dropped; relation 2 becomes relation 0
+        pres = Presentation(CTX32, LINES32[:2], codes=[[2, 0], [2, 0], [0, 2], [1, 1]],
+                            coefs=[1, 2, 3, -1], rel=[0, 0, 1, 2])
+        u01 = u(LINES32[0]).mul(u(LINES32[1]))[1]
+        assert pres.relations == (SuperElement(3, {u01: 2}),)
+        assert pres.rel.tolist() == [0] and pres.coefs.tolist() == [2]
+
+    def test_rejects_table_of_wrong_width(self):
+        with pytest.raises(ValueError):
+            Presentation(CTX32, LINES32[:2], codes=[[2, 0, 0]], coefs=[1], rel=[0])
 
     def test_rejects_foreign_generator(self):
         el = SuperElement.from_monomial(3, t(LINES32[3]))
         with pytest.raises(ValueError):
-            Presentation(CTX32, LINES32[:2], (el,))
+            Presentation.from_elements(CTX32, LINES32[:2], (el,))
