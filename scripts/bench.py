@@ -45,6 +45,8 @@ DEFAULT_JOBS = [
     "7,2,7",
     "3,3,4",
     "3,3,5",
+    "7,3,1",
+    "3,4,1",
     "localize --p 3 --n 3 --cutoff 6 --sample 20 --sample-max-size 6",
     "ro-table --p 3 --n 3 --max-mult 4 --k-max 8",
 ]

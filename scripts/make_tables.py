@@ -11,8 +11,8 @@ import argparse
 import os
 import time
 
-from phiring.charspace import GroupContext
-from phiring.phi import build_phi_presentation, verify_phi
+from phiring.charspace import GroupContext, enumerate_lines
+from phiring.phi import build_phi_presentation, closed_form_series, compare_routes
 from phiring.ssq import collapse_check
 
 DEFAULT_CONTEXTS = ["3,1,10", "3,2,8", "5,2,6", "3,3,4"]
@@ -36,13 +36,15 @@ def main():
     for text in args.contexts:
         ctx, cutoff = parse_context(text)
         t0 = time.time()
-        rep = verify_phi(ctx, cutoff)
-        collapse = collapse_check(ctx, cutoff)
+        # phi.verify_phi, keeping the presentation to count its relations
         pres = build_phi_presentation(ctx)
+        rep = compare_routes(ctx, enumerate_lines(ctx), pres, cutoff,
+                             closed_form_series(ctx, cutoff))
+        collapse = collapse_check(ctx, cutoff)
         elapsed = time.time() - t0
 
         print("== p=%d n=%d cutoff=%d  (%d relations, %.2fs)" % (
-            ctx.p, ctx.n, cutoff, len(pres.relations), elapsed))
+            ctx.p, ctx.n, cutoff, len(pres.relation_weights), elapsed))
         print("   closed form : %s" % (rep.closed_form,))
         print("   presentation: %s" % (rep.presentation,))
         print("   oracle      : %s" % (rep.oracle,))

@@ -1,6 +1,6 @@
 """Characters of G = (Z/p)^n, their scalar classes, and the combinatorics
-built on them: echelon subsets, zero-sum triples, and counts of subsets by
-rank.
+built on them: echelon subsets, zero-sum triples of lines (the 3-subsets of
+the rank-2 flats of a line set's F_p-matroid), and counts of subsets by rank.
 
 A character is a vector in F_p^n; nonzero characters cut out the maximal
 subgroups ker(chi).  Two characters cut out the same subgroup iff they are
@@ -16,7 +16,9 @@ import itertools
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
-from .modp import inverse_mod
+import numpy as np
+
+from .modp import check_exact, inverse_mod
 
 
 def is_odd_prime(p: int) -> bool:
@@ -262,57 +264,61 @@ def rank_of(chars, ctx: GroupContext) -> int:
     return rank
 
 
+_TRIPLE_SLAB = 1 << 14  # candidate triples solved at a time; bounds the arrays
+
+
 def zero_sum_triples(lines, ctx: GroupContext):
     """All unordered triples of distinct lines admitting a zero-sum of
-    nonzero multiples of their reps.
+    nonzero multiples of their reps: the 3-subsets of the rank-2 flats of
+    the line set's F_p-matroid.
 
     Returns (L1, L2, L3, a, b, c) with L1 < L2 < L3 in the global order,
-    a*L1.rep + b*L2.rep + c*L3.rep = 0 and c = 1.  A triple of distinct
-    lines qualifies iff its reps span rank 2, in which case the scalar
-    solution is unique up to global scaling; the rank is checked by row
-    reduction against the solve (RuntimeError on disagreement).
+    a*L1.rep + b*L2.rep + c*L3.rep = 0 and c = 1, in combinations order.
+    The candidates are solved as int64 arrays, exact for every p that
+    modp.check_exact admits (ValueError otherwise).  Reps r1, r2 of distinct
+    lines are independent, so some coordinate pair has a nonzero 2x2 minor
+    det; Cramer's rule on the first gives numerators na, nb, and a triple is
+    kept exactly when na, nb != 0 and na*r1 + nb*r2 + det*r3 = 0: the
+    zero-sum identity with a = na/det, b = nb/det, so every triple returned
+    is certified, and by uniqueness none is missed.  A plane meeting the set
+    in m lines holds m - 2 kept triples through each of its line pairs, so
+    the three pairs of a kept triple must lie in equally many kept triples
+    (RuntimeError otherwise).
     """
     lines = sorted(lines)
     if len(lines) != len(set(lines)):
         raise ValueError("lines must be pairwise distinct")
     p = ctx.p
-    out = []
-    for l1, l2, l3 in itertools.combinations(lines, 3):
-        sol = _solve_zero_sum(l1.rep, l2.rep, l3.rep, p)
-        rank = rank_of([l1.rep, l2.rep, l3.rep], ctx)
-        if rank != (3 if sol is None else 2):
-            raise RuntimeError(
-                "triple %s, %s, %s has rank %d but the zero-sum solve gave %r"
-                % (l1, l2, l3, rank, sol)
-            )
-        if sol is not None:
-            out.append((l1, l2, l3) + sol)
-    return out
-
-
-def _solve_zero_sum(r1: Character, r2: Character, r3: Character, p: int):
-    """Nonzero (a, b, c) with a*r1 + b*r2 + c*r3 = 0 and c = 1, or None.
-
-    With c pinned to 1 the system is a*r1 + b*r2 = -r3.  Reps of distinct
-    lines are independent (RuntimeError otherwise), so some pair of
-    coordinates carries an invertible 2x2 minor; Cramer's rule on it gives
-    the only candidate, which is then checked on every coordinate.
-    """
-    x, y, t = r1.coords, r2.coords, [(-v) % p for v in r3.coords]
-    for i, j in itertools.combinations(range(len(x)), 2):
-        det = (x[i] * y[j] - x[j] * y[i]) % p
-        if det:
-            break
-    else:
-        raise RuntimeError("reps %s and %s are dependent: no unique zero-sum" % (r1, r2))
-    inv = inverse_mod(det, p)
-    a = (t[i] * y[j] - t[j] * y[i]) * inv % p
-    b = (x[i] * t[j] - x[j] * t[i]) * inv % p
-    if a == 0 or b == 0:
-        return None
-    if any((a * u + b * v) % p != w for u, v, w in zip(x, y, t)):
-        return None
-    return a, b, 1
+    check_exact(1, p)
+    reps = np.array([line.rep.coords for line in lines], dtype=np.int64).reshape(-1, ctx.n)
+    first, second = np.fromiter(itertools.combinations(range(ctx.n), 2),
+                                dtype=np.dtype((np.intp, 2))).T
+    candidates = itertools.combinations(range(len(lines)), 3)
+    found = [np.empty((0, 6), dtype=np.int64)]
+    while len(slab := np.fromiter(itertools.islice(candidates, _TRIPLE_SLAB),
+                                  dtype=np.dtype((np.intp, 3)))):
+        x, y, z = reps[slab].transpose(1, 0, 2)
+        minors = (x[:, first] * y[:, second] - x[:, second] * y[:, first]) % p
+        rows = np.arange(len(slab))
+        pick = (minors != 0).argmax(axis=1)
+        det, i, j = minors[rows, pick], first[pick], second[pick]
+        na = (z[rows, j] * y[rows, i] - z[rows, i] * y[rows, j]) % p
+        nb = (x[rows, j] * z[rows, i] - x[rows, i] * z[rows, j]) % p
+        total = (na[:, None] * x % p + nb[:, None] * y % p + det[:, None] * z % p) % p
+        keep = (na != 0) & (nb != 0) & ~total.any(axis=1)
+        found.append(np.column_stack((slab, na, nb, det))[keep])
+    found = np.concatenate(found)
+    pairs = found[:, [0, 0, 1]] * len(lines) + found[:, [1, 2, 2]]
+    ordered = np.sort(pairs, axis=None)
+    through = np.searchsorted(ordered, pairs, "right") - np.searchsorted(ordered, pairs, "left")
+    uneven = (through != through[:, :1]).any(axis=1)
+    if uneven.any():
+        bad = uneven.argmax()
+        raise RuntimeError("zero-sum triples are not closed under the flats: the pairs of "
+                           "triple %s, %s, %s lie in %s kept triples"
+                           % (*(lines[i] for i in found[bad, :3]), through[bad].tolist()))
+    return [(lines[i], lines[j], lines[k], na * (inv := inverse_mod(det, p)) % p, nb * inv % p, 1)
+            for i, j, k, na, nb, det in found.tolist()]
 
 
 @lru_cache(maxsize=None)

@@ -79,6 +79,23 @@ def _check_budget(
         ) from None
 
 
+def _check_oracle_blocks(
+    num_lines: int, cutoff: int, ctx: GroupContext, config: argparse.Namespace
+) -> None:
+    """Refuse, before any work, a job whose oracle on num_lines lines forms a
+    block, at some weight up to the cutoff, of more dense entries than the
+    budget squared: the count the presentation's budget already allows.
+    oracle.block_shapes gives each block's shape in closed form."""
+    for weight in range(cutoff + 1):
+        for k, (rows, cols) in oracle.block_shapes(num_lines, weight, ctx.n).items():
+            if rows * cols > config.column_budget**2:
+                raise UsageError(
+                    "cutoff too large: the oracle's weight-%d, dx-degree-%d block on %d lines "
+                    "needs ~%d x %d matrix entries, budget is %d^2 (raise %s to override)"
+                    % (weight, k, num_lines, rows, cols, config.column_budget, BUDGET_ENV)
+                )
+
+
 def _parse_character(text: str, ctx: GroupContext, flag: str) -> Character:
     parts = text.split(",")
     if len(parts) != ctx.n:
@@ -143,6 +160,7 @@ def _cmd_phi_verify(config: argparse.Namespace, ctx: GroupContext):
     cutoff = _require_cutoff(config)
     gens = ctx.num_characters if config.verbatim else ctx.num_lines
     _check_budget(gens, cutoff, ctx, config)
+    _check_oracle_blocks(ctx.num_lines, cutoff, ctx, config)
     rep = phi.verify_phi(ctx, cutoff, verbatim_mode=config.verbatim)
     report = {
         "cutoff": cutoff,
@@ -292,6 +310,8 @@ def _cmd_localize(config: argparse.Namespace, ctx: GroupContext):
         raise UsageError("localize needs --lines, --arrangement, or --sample")
     for lines in arrangements:
         _check_budget(len(lines), cutoff, ctx, config)
+    for lines in arrangements:  # after every budget check, whose messages come first
+        _check_oracle_blocks(len(lines), cutoff, ctx, config)
     results = [rograde.localized_hilbert(ctx, lines, cutoff) for lines in arrangements]
     report = {
         "cutoff": cutoff,

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import time
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -242,6 +243,26 @@ def span_rank(
         times["rows_s"] = times.get("rows_s", 0.0) + time.perf_counter() - start - elim_s
         times["elim_s"] = times.get("elim_s", 0.0) + elim_s
     return rank
+
+
+def block_shapes(num_lines: int, weight: int, n: int) -> dict[int, tuple[int, int]]:
+    """(rows, columns) of each dx-degree-k block that span_rank forms for the
+    weight-w monomials on g >= 1 distinct lines, in closed form, k = w mod 2
+    up to min(w, g, n).
+
+    A block monomial carries h = (w - k)/2 t's and k u's on distinct lines,
+    so there are C(g, k)*C(h + g - 1, g - 1) of them: an upper bound on the
+    rows, since _block_rows drops the rows whose u-lines are dependent.
+    Every line reaches the max denominator h + [k >= 1], so the cleared
+    numerators have x-degree D = g*(h + [k >= 1]) - h - k, and the columns,
+    degree-D x-monomials times k-subsets of the dx's, number exactly
+    C(D + n - 1, n - 1)*C(n, k)."""
+    g, shapes = num_lines, {}
+    for k in range(weight % 2, min(weight, g, n) + 1, 2):
+        h = (weight - k) // 2
+        degree = g * (h + (k >= 1)) - h - k
+        shapes[k] = (comb(g, k) * comb(h + g - 1, g - 1), comb(degree + n - 1, n - 1) * comb(n, k))
+    return shapes
 
 
 def _block_rows(denom: np.ndarray, odd: np.ndarray, coords: np.ndarray, p: int) -> np.ndarray:

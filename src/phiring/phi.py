@@ -25,7 +25,6 @@ from math import comb
 import numpy as np
 
 from .charspace import (
-    Character,
     GroupContext,
     Line,
     enumerate_characters,
@@ -98,24 +97,20 @@ def line_presentation(ctx: GroupContext, lines) -> Presentation:
     return Presentation(ctx, lines, *_triple_table(positions, t_coefs, max(len(lines), 1)))
 
 
-def character_zero_sum_triples(ctx: GroupContext) -> list[tuple[Character, Character, Character]]:
+def character_zero_sum_triples(ctx: GroupContext) -> np.ndarray:
     """All unordered triples of nonzero characters summing to zero,
-    collinear ones included."""
-    chars = list(enumerate_characters(ctx))
-    seen = set()
-    out = []
-    for alpha in chars:
-        for beta in chars:
-            gamma_coords = tuple((-a - b) % ctx.p for a, b in zip(alpha.coords, beta.coords))
-            if not any(gamma_coords):
-                continue
-            gamma = Character(gamma_coords)
-            key = tuple(sorted((alpha, beta, gamma)))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(key)
-    return out
+    collinear and repeated ones included, as rows i <= j <= k of indices in
+    enumerate_characters order, rows in lex order.  Character c has index
+    sum_d c_d*p^(n-1-d) - 1; each pair i <= j keeps the index k of
+    gamma = -alpha-beta, found digit by digit, when k >= j (gamma = 0 gives
+    k = -1)."""
+    p = ctx.p
+    i, j = np.triu_indices(ctx.num_characters)
+    k = np.full(len(i), -1)
+    for place in p ** np.arange(ctx.n):
+        k += (-((i + 1) // place) - (j + 1) // place) % p * place
+    keep = k >= j
+    return np.stack((i[keep], j[keep], k[keep]), axis=1)
 
 
 def verbatim_presentation(ctx: GroupContext) -> Presentation:
@@ -135,9 +130,7 @@ def verbatim_presentation(ctx: GroupContext) -> Presentation:
     scalar_codes[np.arange(len(scalar_pos)), scalar_pos] = _T
     scalar_coefs = np.array([c for *_, k in scalings for c in (1, -k)], dtype=np.int64)
     scalar_rel = np.repeat(np.arange(len(scalings)), 2)
-    triples = character_zero_sum_triples(ctx)
-    positions = np.array([[index[chi] for chi in triple] for triple in triples],
-                         dtype=np.intp).reshape(len(triples), 3)
+    positions = character_zero_sum_triples(ctx)
     codes, coefs, rel = _triple_table(positions, np.ones_like(positions), len(chars))
     return Presentation(
         ctx,

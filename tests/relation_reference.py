@@ -1,12 +1,13 @@
 """Reference for the relations of the phi presentations: the five triple
-families written with SuperElement arithmetic, one product at a time.
-phi builds the same relations as a term table; its decoded relations must
-equal these exactly, coefficients and signs included."""
+families written with SuperElement arithmetic, one product at a time, on
+the triples of triple_reference.  phi builds the same relations as a term
+table; its decoded relations must equal these exactly, coefficients and
+signs included."""
 
-from phiring.charspace import canonicalize, enumerate_characters, zero_sum_triples
+from phiring.charspace import canonicalize, enumerate_characters
 from phiring.modp import inverse_mod
-from phiring.phi import character_zero_sum_triples
 from phiring.superalg import SuperElement, SuperMonomial
+from triple_reference import character_zero_sum_triples, zero_sum_triples
 
 
 def _t(p, key, scale_inv=1):

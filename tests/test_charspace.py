@@ -22,10 +22,11 @@ from phiring.charspace import (
     rank_of,
     subset_rank_count,
     zero_sum_triples,
-    _solve_zero_sum,
 )
+from phiring.phi import character_zero_sum_triples
 from phiring.rograde import irrep_label
 from subset_rank_reference import is_echelon_set, subset_rank_count_bruteforce
+import triple_reference
 
 
 def C(*coords):
@@ -306,21 +307,54 @@ class TestZeroSumTriples:
     @given(st.sampled_from([(3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]), st.data())
     def test_solve_matches_the_scan_over_all_scalars(self, shape, data):
         p, n = shape
-        lines = enumerate_lines(GroupContext(p, n))
-        l1, l2, l3 = data.draw(st.permutations(lines))[:3]
+        ctx = GroupContext(p, n)
+        l1, l2, l3 = sorted(data.draw(st.permutations(enumerate_lines(ctx)))[:3])
         columns = list(zip(l1.rep.coords, l2.rep.coords, l3.rep.coords))
         scan = [
-            (a, b, 1)
+            (l1, l2, l3, a, b, 1)
             for a in range(1, p)
             for b in range(1, p)
             if all((a * x + b * y + z) % p == 0 for x, y, z in columns)
         ]
-        assert [_solve_zero_sum(l1.rep, l2.rep, l3.rep, p)] == (scan or [None])
+        assert zero_sum_triples([l3, l1, l2], ctx) == scan
 
-    def test_dependent_reps_raise(self):
-        # reps of one line have no unique zero-sum: an explicit error, not an assert
-        with pytest.raises(RuntimeError):
-            _solve_zero_sum(C(1, 2, 0), C(2, 4, 0), C(0, 0, 1), 5)
+    @given(st.sampled_from([(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)]), st.data())
+    def test_matches_the_reference_on_line_subsets(self, shape, data):
+        ctx = GroupContext(*shape)
+        lines = enumerate_lines(ctx)
+        size = data.draw(st.integers(0, min(15, len(lines))))
+        subset = data.draw(st.permutations(lines))[:size]
+        assert zero_sum_triples(subset, ctx) == triple_reference.zero_sum_triples(subset, ctx)
+
+    @given(st.lists(st.tuples(*[st.integers(0, 1048572)] * 4), min_size=0, max_size=12))
+    def test_matches_the_reference_at_a_large_prime(self, rows):
+        # values near p exercise the int64 products; planes through few lines
+        # are rare, so close each pair of rows with its sum as well
+        ctx = GroupContext(1048573, 4)
+        chars = [Character(tuple(c % ctx.p for c in row)) for row in rows if any(row)]
+        chars += [Character(s) for a, b in zip(chars, chars[1:])
+                  if any(s := tuple((x + y) % ctx.p for x, y in zip(a.coords, b.coords)))]
+        lines = sorted({line_of(chi, ctx) for chi in chars})
+        assert zero_sum_triples(lines, ctx) == triple_reference.zero_sum_triples(lines, ctx)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (3, 4), (7, 3), (3, 5)])
+    def test_full_arrangement_count(self, shape):
+        # independent count: (p^n-1)(p^(n-1)-1)/((p^2-1)(p-1)) planes, each
+        # with p+1 lines and so C(p+1, 3) triples
+        p, n = shape
+        ctx = GroupContext(p, n)
+        planes = (p**n - 1) * (p ** (n - 1) - 1) // ((p**2 - 1) * (p - 1))
+        expected = {(3, 3): 52, (5, 3): 620, (3, 4): 520, (7, 3): 3192, (3, 5): 4840}
+        assert planes * comb(p + 1, 3) == expected[shape]
+        assert len(zero_sum_triples(enumerate_lines(ctx), ctx)) == expected[shape]
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2), (3, 3), (5, 3)])
+def test_character_triples_match_the_reference(shape):
+    ctx = GroupContext(*shape)
+    chars = list(enumerate_characters(ctx))
+    got = [tuple(chars[i] for i in row) for row in character_zero_sum_triples(ctx).tolist()]
+    assert got == triple_reference.character_zero_sum_triples(ctx)
 
 
 class TestSubsetRankCount:

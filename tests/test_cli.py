@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from phiring import cli, rograde, superalg
+from phiring import cli, oracle, phi, rograde, superalg
+from phiring.charspace import GroupContext, enumerate_lines
 
 
 def run_cli(argv, capsys):
@@ -180,6 +181,34 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert b"too large for exact elimination" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["phi-verify", "--p", "3", "--n", "5", "--cutoff", "1"],
+         ["phi-verify", "--p", "3", "--n", "5", "--cutoff", "1", "--verbatim"],
+         ["phi-verify", "--p", "3", "--n", "4", "--cutoff", "3"],
+         ["phi-verify", "--p", "5", "--n", "4", "--cutoff", "1"],
+         ["localize", "--p", "3", "--n", "4", "--cutoff", "3", "--lines",
+          ";".join(",".join(map(str, line.rep.coords))
+                   for line in enumerate_lines(GroupContext(3, 4)))]],
+    )
+    def test_oracle_block_over_budget_refused_before_any_work(self, argv, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for module, name in ((oracle, "span_rank"), (phi, "build_phi_presentation"),
+                             (rograde, "localized_hilbert")):
+            monkeypatch.setattr(module, name, no_work)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "oracle" in err and "budget" in err
+
+    @pytest.mark.parametrize("shape", [(3, 4, 1), (7, 3, 3), (3, 3, 7), (7, 2, 7), (3, 3, 5)])
+    def test_oracle_blocks_within_budget_pass(self, shape):
+        p, n, cutoff = shape
+        ctx = GroupContext(p, n)
+        config = cli.config_from_args(["phi-verify", "--p", str(p), "--n", str(n)])
+        cli._check_oracle_blocks(ctx.num_lines, cutoff, ctx, config)
 
     @pytest.mark.parametrize("item", ["1,0", "1,x:1", "1,0:z", "1,0,0:1"])
     def test_malformed_mult_refused_before_any_work(self, item, capsys, monkeypatch):

@@ -395,6 +395,38 @@ class TestSpanRankAgainstReference:
         assert all(times[key] > first[key] for key in first)
 
 
+class TestBlockShapes:
+    @pytest.mark.parametrize(
+        "p, n, w, size",
+        [(3, 3, 5, None), (7, 2, 5, None), (5, 2, 6, None), (5, 3, 2, None),
+         (3, 3, 5, 4), (3, 3, 4, 6), (3, 3, 3, 6)],
+    )
+    def test_closed_form_against_the_built_blocks(self, p, n, w, size, monkeypatch):
+        # columns equal the built ones, rows bound them; a block past dx-degree
+        # n has no columns and no closed form
+        built = {}
+        real_block_rows = oracle._block_rows
+
+        def spy_block_rows(denom, odd, coords, p):
+            rows = real_block_rows(denom, odd, coords, p)
+            built[int(odd[0].sum())] = rows.shape
+            return rows
+
+        monkeypatch.setattr(oracle, "_block_rows", spy_block_rows)
+        ctx = GroupContext(p, n)
+        lines = enumerate_lines(ctx)
+        if size is not None:
+            lines = sorted(random.Random(w).sample(lines, size))
+        span_rank(lines, monomial_codes(len(lines), w), w, ctx)
+        shapes = oracle.block_shapes(len(lines), w, n)
+        assert set(shapes) == {k for k, (_, cols) in built.items() if cols}
+        for k, (rows, cols) in shapes.items():
+            assert built[k][1] == cols and built[k][0] <= rows
+
+    def test_example_shape(self):
+        assert oracle.block_shapes(13, 5, 3) == {1: (1183, 2109), 3: (3718, 276)}
+
+
 class TestSubringHilbert:
     def test_rank_one_all_ones(self):
         ctx = GroupContext(3, 1)

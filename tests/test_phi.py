@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phiring.charspace import Character, GroupContext, enumerate_lines
+from phiring.charspace import Character, GroupContext, enumerate_characters, enumerate_lines
 from phiring.oracle import relation_image
 from phiring.phi import (
     Comparison,
@@ -119,11 +119,13 @@ class TestVerbatimPresentation:
                 assert relation_image(rel, ctx).is_zero()
 
     def test_character_triples_include_collinear(self):
-        triples = character_zero_sum_triples(GroupContext(5, 1))
+        ctx = GroupContext(5, 1)
+        chars = list(enumerate_characters(ctx))
+        triples = character_zero_sum_triples(ctx)
         # rank-1 case: every zero-sum triple is collinear by definition
-        assert triples
+        assert len(triples)
         for triple in triples:
-            coords = [sum(cs) % 5 for cs in zip(*(chi.coords for chi in triple))]
+            coords = [sum(cs) % 5 for cs in zip(*(chars[i].coords for i in triple))]
             assert not any(coords)
 
 

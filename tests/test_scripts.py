@@ -73,6 +73,9 @@ def test_bench_defaults_cover_localize_and_ro_table():
     commands = [bench.parse_job(text)[0][:7] for text in bench.DEFAULT_JOBS]
     assert ["localize", "--p", "3", "--n", "3", "--cutoff", "6"] in commands
     assert ["ro-table", "--p", "3", "--n", "3", "--max-mult", "4"] in commands
+    # presentation building, whose floor is the zero-sum triples, is timed too
+    assert ["phi-verify", "--p", "7", "--n", "3", "--cutoff", "1"] in commands
+    assert ["phi-verify", "--p", "3", "--n", "4", "--cutoff", "1"] in commands
     assert bench.parse_job("3,3,5") == (
         ["phi-verify", "--p", "3", "--n", "3", "--cutoff", "5"], (3, 3, 5))
 
@@ -88,9 +91,10 @@ def test_bench_defaults_cover_localize_and_ro_table():
         ["phi-verify", "--p", "3", "--n", "2", "--cutoff", "3", "--verbatim", "--format", "json"],
         ["phi-basis", "--p", "5", "--n", "2", "--weight", "3"],
         ["phi-basis", "--p", "3", "--n", "2", "--weight", "3", "--verbatim"],
+        ["relation-check", "--p", "3", "--n", "3", "--verbatim"],
     ],
     ids=["ro-table", "ro-dim", "localize", "phi-verify", "phi-verify-verbatim", "phi-basis",
-         "phi-basis-verbatim"],
+         "phi-basis-verbatim", "relation-check-verbatim"],
 )
 def test_optimized_run_matches_plain_run(argv):
     # python -O strips assert statements: no result may depend on one
