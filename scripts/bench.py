@@ -49,6 +49,7 @@ DEFAULT_JOBS = [
     "3,4,1",
     "localize --p 3 --n 3 --cutoff 6 --sample 20 --sample-max-size 6",
     "ro-table --p 3 --n 3 --max-mult 4 --k-max 8",
+    "relation-check --p 5 --n 3",
 ]
 ENV = dict(
     os.environ,

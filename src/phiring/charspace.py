@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modp import check_exact, inverse_mod
+from .modp import check_exact, inverse_mod, inverses_mod
 
 
 def is_odd_prime(p: int) -> bool:
@@ -267,23 +267,24 @@ def rank_of(chars, ctx: GroupContext) -> int:
 _TRIPLE_SLAB = 1 << 14  # candidate triples solved at a time; bounds the arrays
 
 
-def zero_sum_triples(lines, ctx: GroupContext):
+def zero_sum_triples(lines, ctx: GroupContext) -> np.ndarray:
     """All unordered triples of distinct lines admitting a zero-sum of
     nonzero multiples of their reps: the 3-subsets of the rank-2 flats of
     the line set's F_p-matroid.
 
-    Returns (L1, L2, L3, a, b, c) with L1 < L2 < L3 in the global order,
-    a*L1.rep + b*L2.rep + c*L3.rep = 0 and c = 1, in combinations order.
-    The candidates are solved as int64 arrays, exact for every p that
-    modp.check_exact admits (ValueError otherwise).  Reps r1, r2 of distinct
-    lines are independent, so some coordinate pair has a nonzero 2x2 minor
-    det; Cramer's rule on the first gives numerators na, nb, and a triple is
-    kept exactly when na, nb != 0 and na*r1 + nb*r2 + det*r3 = 0: the
-    zero-sum identity with a = na/det, b = nb/det, so every triple returned
-    is certified, and by uniqueness none is missed.  A plane meeting the set
-    in m lines holds m - 2 kept triples through each of its line pairs, so
-    the three pairs of a kept triple must lie in equally many kept triples
-    (RuntimeError otherwise).
+    Returns an int64 array with one row (i, j, k, a, b) per triple, rows in
+    combinations order: indices i < j < k into sorted(lines) and the
+    scalars a, b in [1, p) with a*L_i.rep + b*L_j.rep + c*L_k.rep = 0 for
+    c = 1.  The candidates are solved as int64 arrays, exact for every p
+    that modp.check_exact admits (ValueError otherwise).  Reps r1, r2 of
+    distinct lines are independent, so some coordinate pair has a nonzero
+    2x2 minor det; Cramer's rule on the first gives numerators na, nb, and a
+    triple is kept exactly when na, nb != 0 and na*r1 + nb*r2 + det*r3 = 0:
+    the zero-sum identity with a = na/det, b = nb/det, so every triple
+    returned is certified, and by uniqueness none is missed.  A plane
+    meeting the set in m lines holds m - 2 kept triples through each of its
+    line pairs, so the three pairs of a kept triple must lie in equally
+    many kept triples (RuntimeError otherwise).
     """
     lines = sorted(lines)
     if len(lines) != len(set(lines)):
@@ -317,8 +318,8 @@ def zero_sum_triples(lines, ctx: GroupContext):
         raise RuntimeError("zero-sum triples are not closed under the flats: the pairs of "
                            "triple %s, %s, %s lie in %s kept triples"
                            % (*(lines[i] for i in found[bad, :3]), through[bad].tolist()))
-    return [(lines[i], lines[j], lines[k], na * (inv := inverse_mod(det, p)) % p, nb * inv % p, 1)
-            for i, j, k, na, nb, det in found.tolist()]
+    found[:, 3:5] = found[:, 3:5] * inverses_mod(found[:, 5:], p) % p
+    return found[:, :5]
 
 
 @lru_cache(maxsize=None)

@@ -337,18 +337,16 @@ def _cmd_localize(config: argparse.Namespace, ctx: GroupContext):
 
 def _cmd_relation_check(config: argparse.Namespace, ctx: GroupContext):
     pres = phi.build_phi_presentation(ctx, verbatim_mode=config.verbatim)
-    vanished = 0
-    for rel in pres.relations:
-        if oracle.relation_image(rel, ctx).is_zero():
-            vanished += 1
-    ok = vanished == len(pres.relations)
+    relations = len(pres.relation_weights)
+    vanished = int(oracle.vanishing(pres).sum())
+    ok = vanished == relations
     report = {
         "verbatim": config.verbatim,
-        "relations": len(pres.relations),
+        "relations": relations,
         "vanished": vanished,
         "ok": ok,
     }
-    rows = [["relations", "vanished", "ok"], [str(len(pres.relations)), str(vanished), _bool_str(ok)]]
+    rows = [["relations", "vanished", "ok"], [str(relations), str(vanished), _bool_str(ok)]]
     return report, rows, ok
 
 

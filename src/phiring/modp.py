@@ -44,6 +44,25 @@ def inverse_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+def inverses_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """The inverses mod p of an integer array, elementwise, as a^(p-2) by
+    square and multiply (Fermat).  Each step takes a product of two
+    residues in int64, exact for every p that check_exact(1, p) admits
+    (ValueError otherwise); ZeroDivisionError on an entry divisible by p."""
+    check_exact(1, p)
+    base = np.asarray(a, dtype=np.int64) % p
+    if not base.all():
+        raise ZeroDivisionError("0 has no inverse mod %d" % p)
+    out = np.ones_like(base)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
 class RowReducer:
     """Incremental Gaussian elimination mod p with leftmost pivoting.
 

@@ -7,14 +7,17 @@ The even/odd generator pair attached to a line embeds as
 
     t = 1/z,    u = dz/z,
 
-and every rank and vanishing question is settled on cleared numerators:
-span_rank and relation_image each bring their images to one componentwise
-max denominator and work on the numerators.  The z's are nonzero divisors,
-so clearing is faithful and no fraction arithmetic is needed; embed gives a
-monomial's image as the pair (numerator, denominator exponents).  span_rank
-builds its numerators' products of linear forms and wedges of one-forms with
-one float64 routine, _products, and eliminates them with modp.rref: both stay
-exact under the package's one bound, modp.check_exact.
+and every rank and vanishing question is settled on cleared numerators.
+The z's are nonzero divisors, so clearing is faithful and no fraction
+arithmetic is needed.  _line_data reads off code rows what both questions
+need: span_rank clears each dx-degree block of monomials to one
+componentwise-max denominator and eliminates the numerators with
+modp.rref; vanishing clears each relation to its own and checks that its
+numerators sum to 0.  Both build the numerators' products of linear forms
+and wedges of one-forms with one float64 routine, _products, and stay exact
+under the package's one bound, modp.check_exact.  PolyExtElement and embed,
+which gives a monomial's image as the pair (numerator, denominator
+exponents) in sparse dict arithmetic, are the tests' reference.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .charspace import Character, GroupContext, Line, canonicalize
-from .modp import _SLAB_ROWS, _remainder, check_exact, inverse_mod, rref
+from .modp import _SLAB_ROWS, _remainder, check_exact, inverse_mod, inverses_mod, rref
 from .superalg import (
-    SuperElement,
+    Presentation,
     SuperMonomial,
     _packed,
     exponent_rows,
@@ -115,17 +118,6 @@ class PolyExtElement:
         return " + ".join(bits)
 
 
-def euler_class(chi: Character | Line, ctx: GroupContext) -> PolyExtElement:
-    """The linear form z = sum_i coords_i * x_i attached to a character."""
-    coords = chi.rep.coords if isinstance(chi, Line) else chi.coords
-    terms = {}
-    for i, c in enumerate(coords):
-        if c % ctx.p:
-            xexp = tuple(1 if j == i else 0 for j in range(ctx.n))
-            terms[(xexp, ())] = c
-    return PolyExtElement(ctx.p, ctx.n, terms)
-
-
 def d_euler_class(chi: Character | Line, ctx: GroupContext) -> PolyExtElement:
     """dz = sum_i coords_i * dx_i."""
     coords = chi.rep.coords if isinstance(chi, Line) else chi.coords
@@ -167,25 +159,6 @@ def _line_scale(key, ctx: GroupContext) -> tuple[Line, int]:
     raise TypeError("generator key must be a Line or Character, got %r" % (key,))
 
 
-def relation_image(rel: SuperElement, ctx: GroupContext) -> PolyExtElement:
-    """Numerator of the image of rel, the linear extension of embed, over
-    the componentwise max of its terms' denominators.  Every z is a nonzero
-    divisor, so this is 0 exactly when the image is; the instantiated
-    relations of a sound presentation land on 0."""
-    images = [(c, *embed(m, ctx)) for m, c in rel.terms.items()]
-    dmax: dict[Line, int] = {}
-    for _, _, denom in images:
-        for line, e in denom.items():
-            dmax[line] = max(dmax.get(line, 0), e)
-    acc = PolyExtElement.zero(ctx.p, ctx.n)
-    for c, num, denom in images:
-        for line, e in dmax.items():
-            for _ in range(e - denom.get(line, 0)):
-                num = num * euler_class(line, ctx)
-        acc = acc + num.scale(c)
-    return acc
-
-
 def span_rank(
     keys: Sequence, codes: np.ndarray, weight: int, ctx: GroupContext, times: dict | None = None
 ) -> int:
@@ -218,20 +191,11 @@ def span_rank(
     codes = np.asarray(codes, dtype=np.int64)
     if (codes.sum(axis=1) != weight).any():
         raise ValueError("every code row must have weight %d" % weight)
-    key_lines = [_line_scale(key, ctx)[0] for key in keys]
-    lines = sorted(set(key_lines))
-    line_index = {line: j for j, line in enumerate(lines)}
-    incidence = np.zeros((max(len(keys), 1), len(lines)), dtype=np.int64)
-    incidence[np.arange(len(keys)), [line_index[line] for line in key_lines]] = 1
-    # per line: the denominator exponent (t + u of its keys) and the u count
-    denom = ((codes + 1) // 2) @ incidence
-    odd = (codes & 1) @ incidence
+    denom, odd, coords, _, _ = _line_data(keys, codes, ctx)
     # the wedge of two odd generators on one line is 0
     keep = (odd <= 1).all(axis=1)
     denom, odd = denom[keep], odd[keep]
     dx_degree = odd.sum(axis=1)
-    coords = np.array([line.rep.coords for line in lines], dtype=np.float64)
-    coords = coords.reshape(len(lines), ctx.n)
     rank, elim_s = 0, 0.0
     for k in np.flatnonzero(np.bincount(dx_degree)):
         block = dx_degree == k
@@ -243,6 +207,113 @@ def span_rank(
         times["rows_s"] = times.get("rows_s", 0.0) + time.perf_counter() - start - elim_s
         times["elim_s"] = times.get("elim_s", 0.0) + elim_s
     return rank
+
+
+def _line_data(keys: Sequence, codes: np.ndarray, ctx: GroupContext):
+    """What the oracle reads off code rows over keys, in the layout of
+    superalg.monomial_codes: the image of the monomial of a row is
+    unit * sign * omega / prod_L z_L^denom[L], omega the wedge of the dz's
+    of its u-lines in line order.  Returns, lines in sorted order:
+
+    * denom and odd, one row per code row: the denominator exponent (t + u
+      of the line's keys) and the u count on each line, in the dtype of
+      codes;
+    * coords, the lines' coordinates as float64 rows;
+    * unit, per row prod_i scale_i^(-t_i) mod p, from the keys
+      k*L.rep = scale*L.rep that Character keys are (t over it is 1/k times
+      t over L, u over it is u over L), 1 for Line keys;
+    * sign, per row the parity of the permutation that takes its u's from
+      key order to line order, +1 when the keys are in line order, as
+      sorted Line keys are.
+    """
+    p = ctx.p
+    split = [_line_scale(key, ctx) for key in keys]
+    lines = sorted({line for line, _ in split})
+    line_index = {line: j for j, line in enumerate(lines)}
+    position = np.array([line_index[line] for line, _ in split], dtype=np.intp)
+    coords = np.array([line.rep.coords for line in lines], dtype=np.float64)
+    coords = coords.reshape(len(lines), ctx.n)
+    scales = np.array([scale for _, scale in split], dtype=np.int64)
+    unit = np.ones(len(codes), dtype=np.int64)
+    sign = np.ones(len(codes), dtype=np.int64)
+    if (position == np.arange(len(keys))).all() and (scales == 1).all():
+        # the keys are the line reps, in order
+        odd = codes[:, :len(lines)] & 1
+        return (codes[:, :len(lines)] >> 1) + odd, odd, coords, unit, sign
+    rows, cols = np.nonzero(codes)
+    code = codes[rows, cols]
+    t, u = code >> 1, code & 1
+    denom = np.zeros((len(codes), len(lines)), dtype=codes.dtype)
+    odd = np.zeros_like(denom)
+    np.add.at(denom, (rows, position[cols]), t + u)
+    np.add.at(odd, (rows, position[cols]), u)
+    if (scales != 1).any():
+        # one factor 1/scale per t, multiplied in by its rank in the row
+        t_rows = np.repeat(rows, t)
+        factors = inverses_mod(scales, p)[np.repeat(cols, t)]
+        rank = np.arange(len(t_rows)) - np.searchsorted(t_rows, t_rows)
+        for j in range(int(rank.max(initial=-1)) + 1):
+            at = rank == j
+            unit[t_rows[at]] = unit[t_rows[at]] * factors[at] % p
+    # the inversions between the u's of a row, d apart in key order
+    u_rows, u_lines = rows[u == 1], position[cols[u == 1]]
+    flips = np.zeros(len(codes), dtype=np.int64)
+    for d in range(1, len(keys)):
+        pair = u_rows[d:] == u_rows[:-d]
+        if not pair.any():
+            break
+        flips += np.bincount(u_rows[d:][pair & (u_lines[:-d] > u_lines[d:])], minlength=len(codes))
+    sign -= 2 * (flips & 1)
+    return denom, odd, coords, unit, sign
+
+
+def vanishing(pres: Presentation, max_weight: int | None = None) -> np.ndarray:
+    """Whether each relation of pres of weight at most max_weight (every
+    relation when None) vanishes in the oracle, as a bool array in relation
+    id order.
+
+    A relation is brought to its own componentwise-max denominator, a
+    nonzero divisor, so it vanishes exactly when its numerator
+    sum_m c_m * unit_m * sign_m * P_m (x) omega_m is 0 (_line_data gives the
+    unit and the sign; a term with two u's on one line is 0 and is left
+    out).  The terms of one relation and one dx-degree k share the
+    numerator degree D, sum(max denominator) - (weight + k)/2, so the terms
+    split by (k, D) into blocks where _products builds every P and every
+    omega at once, as in span_rank's blocks; a relation vanishes when its
+    rows sum to 0 in every block.  Entries stay exact
+    under modp.check_exact(n, p), which is checked (ValueError past it).
+    """
+    ctx, p = pres.ctx, pres.ctx.p
+    check_exact(ctx.n, p)
+    weights = pres.relation_weights
+    checked = weights <= (weights.max(initial=0) if max_weight is None else max_weight)
+    # the terms come by relation weight, then relation id
+    terms = int(checked[pres.rel].sum())
+    denom, odd, coords, unit, sign = _line_data(pres.keys, pres.codes[:terms], ctx)
+    live = (odd <= 1).all(axis=1)
+    denom, odd, rel = denom[live], odd[live], pres.rel[:terms][live]
+    scalar = pres.coefs[:terms][live] * unit[live] % p * sign[live] % p
+    scalar = scalar.astype(np.float64)
+    vanished = np.ones(len(weights), dtype=bool)
+    if len(rel):
+        new = np.diff(rel, prepend=-1) != 0
+        comps = np.maximum.reduceat(denom, np.flatnonzero(new))[np.cumsum(new) - 1] - denom
+        dx_degree = odd.sum(axis=1, dtype=np.int64)
+        degree = comps.sum(axis=1, dtype=np.int64)
+        block = dx_degree * (degree.max() + 1) + degree
+        for b in np.flatnonzero(np.bincount(block)):
+            at = block == b
+            polys = _products(_factors(comps[at], coords), p, _times_x)
+            omegas = _products(_factors(odd[at], coords), p, _wedge_x)
+            polys *= scalar[at][:, None]
+            _remainder(polys, p)
+            rows = (polys[:, :, None] * omegas[:, None, :]).reshape(len(polys), -1)
+            _remainder(rows, p)
+            block_rel = rel[at]
+            starts = np.flatnonzero(np.diff(block_rel, prepend=-1))
+            sums = np.add.reduceat(rows.astype(np.int64), starts) % p
+            vanished[block_rel[starts]] &= ~sums.any(axis=1)
+    return vanished[checked]
 
 
 def block_shapes(num_lines: int, weight: int, n: int) -> dict[int, tuple[int, int]]:
@@ -303,7 +374,8 @@ def _factors(mults: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """[r, f] = the coordinates of the f-th factor of row r, which takes
     line j mults[r, j] times, lines in order; every row has one degree."""
     degree = int(mults[0].sum())
-    lines = np.repeat(np.tile(np.arange(len(coords)), len(mults)), mults.ravel())
+    rows, lines = np.nonzero(mults)
+    lines = np.repeat(lines, mults[rows, lines])
     return coords[lines.reshape(len(mults), degree)]
 
 

@@ -31,8 +31,8 @@ from .charspace import (
     enumerate_lines,
     zero_sum_triples,
 )
-from .modp import inverse_mod
-from .oracle import subring_hilbert
+from .modp import inverses_mod
+from .oracle import subring_hilbert, vanishing
 from .superalg import Presentation, quotient_dimension
 
 # The five relation families of a zero-sum triple, in order: the even
@@ -87,14 +87,10 @@ def line_presentation(ctx: GroupContext, lines) -> Presentation:
     u, so the t's carry 1/a, 1/b and 1.  Its lines come in key order, so the
     only Koszul sign is the -1 on u_L3 u_L1."""
     lines = tuple(sorted(set(lines)))
-    p = ctx.p
-    index = {line: i for i, line in enumerate(lines)}
     triples = zero_sum_triples(lines, ctx)
-    positions = np.array([[index[l1], index[l2], index[l3]] for l1, l2, l3, *_ in triples],
-                         dtype=np.intp).reshape(len(triples), 3)
-    t_coefs = np.array([[inverse_mod(k, p) for k in triple[3:]] for triple in triples],
-                       dtype=np.int64).reshape(len(triples), 3)
-    return Presentation(ctx, lines, *_triple_table(positions, t_coefs, max(len(lines), 1)))
+    t_coefs = np.ones((len(triples), 3), dtype=np.int64)
+    t_coefs[:, :2] = inverses_mod(triples[:, 3:], ctx.p)
+    return Presentation(ctx, lines, *_triple_table(triples[:, :3], t_coefs, max(len(lines), 1)))
 
 
 def character_zero_sum_triples(ctx: GroupContext) -> np.ndarray:
@@ -202,11 +198,19 @@ def compare_routes(
     """Oracle Hilbert function of the subring on `lines` against the
     quotient dimensions of `pres`, weights 0..cutoff.
 
-    Every relation vanishes in the oracle, so oracle <= presentation holds
-    weightwise; it is checked unconditionally, and a weight where it fails
-    means one of the two routes computed a wrong number (RuntimeError).
-    Equality is reported, never repaired.
+    oracle <= presentation holds weightwise when every relation vanishes in
+    the oracle.  Both are checked unconditionally: oracle.vanishing checks
+    the relations of weight <= cutoff, the only ones that bear on these
+    weights, and then each weight is compared.  A relation that does not
+    vanish, or a weight where the oracle exceeds the presentation, means
+    one of the two routes computed a wrong number (RuntimeError).  Equality
+    is reported, never repaired.
     """
+    vanished = vanishing(pres, cutoff)
+    if not vanished.all():
+        bad = np.flatnonzero(pres.relation_weights <= cutoff)[np.argmin(vanished)]
+        raise RuntimeError("relation %d, of weight %d, does not vanish in the oracle"
+                           % (bad, pres.relation_weights[bad]))
     oracle_dims = subring_hilbert(lines, cutoff, ctx)
     pres_dims = tuple(quotient_dimension(pres, w) for w in range(cutoff + 1))
     for w, (o, q) in enumerate(zip(oracle_dims, pres_dims)):

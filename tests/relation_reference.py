@@ -1,13 +1,48 @@
-"""Reference for the relations of the phi presentations: the five triple
-families written with SuperElement arithmetic, one product at a time, on
-the triples of triple_reference.  phi builds the same relations as a term
-table; its decoded relations must equal these exactly, coefficients and
-signs included."""
+"""Reference for the relations of the phi presentations and their images
+in the oracle.
 
-from phiring.charspace import canonicalize, enumerate_characters
+The five triple families are written with SuperElement arithmetic, one
+product at a time, on the triples of triple_reference.  phi builds the same
+relations as a term table; its decoded relations must equal these exactly,
+coefficients and signs included.  relation_image evaluates a relation in
+the oracle by sparse fraction arithmetic (oracle.embed and PolyExtElement
+products); oracle.vanishing must find the same relations vanish."""
+
+from phiring.charspace import Character, GroupContext, Line, canonicalize, enumerate_characters
 from phiring.modp import inverse_mod
+from phiring.oracle import PolyExtElement, embed
 from phiring.superalg import SuperElement, SuperMonomial
 from triple_reference import character_zero_sum_triples, zero_sum_triples
+
+
+def euler_class(chi: Character | Line, ctx: GroupContext) -> PolyExtElement:
+    """The linear form z = sum_i coords_i * x_i attached to a character."""
+    coords = chi.rep.coords if isinstance(chi, Line) else chi.coords
+    terms = {}
+    for i, c in enumerate(coords):
+        if c % ctx.p:
+            xexp = tuple(1 if j == i else 0 for j in range(ctx.n))
+            terms[(xexp, ())] = c
+    return PolyExtElement(ctx.p, ctx.n, terms)
+
+
+def relation_image(rel: SuperElement, ctx: GroupContext) -> PolyExtElement:
+    """Numerator of the image of rel, the linear extension of embed, over
+    the componentwise max of its terms' denominators.  Every z is a nonzero
+    divisor, so this is 0 exactly when the image is; the instantiated
+    relations of a sound presentation land on 0."""
+    images = [(c, *embed(m, ctx)) for m, c in rel.terms.items()]
+    dmax: dict[Line, int] = {}
+    for _, _, denom in images:
+        for line, e in denom.items():
+            dmax[line] = max(dmax.get(line, 0), e)
+    acc = PolyExtElement.zero(ctx.p, ctx.n)
+    for c, num, denom in images:
+        for line, e in dmax.items():
+            for _ in range(e - denom.get(line, 0)):
+                num = num * euler_class(line, ctx)
+        acc = acc + num.scale(c)
+    return acc
 
 
 def _t(p, key, scale_inv=1):

@@ -23,10 +23,11 @@ from phiring.charspace import (
     line_of,
     subset_rank_count,
 )
-from phiring.oracle import relation_image
+from phiring.oracle import vanishing
 from phiring.phi import build_phi_presentation, closed_form_series, verify_phi
 from phiring.rograde import localized_hilbert, multidegree, ro_dimension
 from phiring.ssq import e1_dim, e2_dim, e2_total
+from relation_reference import relation_image
 from subset_rank_reference import is_echelon_set, subset_rank_count_bruteforce
 
 
@@ -51,6 +52,8 @@ def test_criterion_1_relation_vanishing():
             passed = passed and all(
                 relation_image(rel, ctx).is_zero() for rel in pres.relations
             )
+            # the check that phi-verify and localize run, on the same relations
+            passed = passed and vanishing(pres).tolist() == [True] * len(pres.relations)
     elapsed = time.time() - t0
     report(1, "every instantiated relation vanishes in the oracle", passed, elapsed)
     assert elapsed < 10.0

@@ -5,6 +5,7 @@ import pickle
 from dataclasses import dataclass
 from math import comb, prod
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -261,7 +262,25 @@ class TestEnumerateFn:
                 assert all(chi.coords[piv] == 1 for chi, piv in zip(sub.elems, pivots))
 
 
+def decoded_triples(lines, ctx):
+    """The rows (i, j, k, a, b) of zero_sum_triples decoded to the reference's
+    tuples (L1, L2, L3, a, b, c), indices into sorted(lines) and c = 1."""
+    ordered = sorted(lines)
+    return [(ordered[i], ordered[j], ordered[k], a, b, 1)
+            for i, j, k, a, b in zero_sum_triples(lines, ctx).tolist()]
+
+
 class TestZeroSumTriples:
+    def test_rows_are_int64_index_and_scalar_columns(self):
+        ctx = GroupContext(5, 3)
+        lines = enumerate_lines(ctx)
+        triples = zero_sum_triples(lines, ctx)
+        assert triples.dtype == np.int64 and triples.shape == (620, 5)
+        i, j, k, a, b = triples.T
+        assert ((0 <= i) & (i < j) & (j < k) & (k < len(lines))).all()
+        assert ((1 <= a) & (a < 5) & (1 <= b) & (b < 5)).all()
+        assert zero_sum_triples(lines[:2], ctx).shape == (0, 5)
+
     def test_all_four_triples_qualify_in_the_plane(self):
         ctx = GroupContext(3, 2)
         triples = zero_sum_triples(enumerate_lines(ctx), ctx)
@@ -270,16 +289,16 @@ class TestZeroSumTriples:
     def test_two_lines_no_triple(self):
         ctx = GroupContext(3, 2)
         lines = [line_of(C(1, 0), ctx), line_of(C(0, 1), ctx)]
-        assert zero_sum_triples(lines, ctx) == []
+        assert decoded_triples(lines, ctx) == []
 
     def test_independent_lines_no_triple(self):
         ctx = GroupContext(3, 3)
         lines = [line_of(C(1, 0, 0), ctx), line_of(C(0, 1, 0), ctx), line_of(C(0, 0, 1), ctx)]
-        assert zero_sum_triples(lines, ctx) == []
+        assert decoded_triples(lines, ctx) == []
 
     def test_scalars_solve_and_are_normalized(self):
         ctx = GroupContext(5, 2)
-        for l1, l2, l3, a, b, c in zero_sum_triples(enumerate_lines(ctx), ctx):
+        for l1, l2, l3, a, b, c in decoded_triples(enumerate_lines(ctx), ctx):
             assert c == 1 and a % 5 and b % 5
             combo = [
                 (a * x + b * y + c * z) % 5
@@ -292,7 +311,7 @@ class TestZeroSumTriples:
         ctx = GroupContext(3, 3)
         lines = enumerate_lines(ctx)
         qualifying = {
-            (l1, l2, l3) for l1, l2, l3, *_ in zero_sum_triples(lines, ctx)
+            (l1, l2, l3) for l1, l2, l3, *_ in decoded_triples(lines, ctx)
         }
         for combo in itertools.combinations(lines, 3):
             has_rank_2 = rank_of([l.rep for l in combo], ctx) == 2
@@ -316,7 +335,7 @@ class TestZeroSumTriples:
             for b in range(1, p)
             if all((a * x + b * y + z) % p == 0 for x, y, z in columns)
         ]
-        assert zero_sum_triples([l3, l1, l2], ctx) == scan
+        assert decoded_triples([l3, l1, l2], ctx) == scan
 
     @given(st.sampled_from([(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 4)]), st.data())
     def test_matches_the_reference_on_line_subsets(self, shape, data):
@@ -324,7 +343,7 @@ class TestZeroSumTriples:
         lines = enumerate_lines(ctx)
         size = data.draw(st.integers(0, min(15, len(lines))))
         subset = data.draw(st.permutations(lines))[:size]
-        assert zero_sum_triples(subset, ctx) == triple_reference.zero_sum_triples(subset, ctx)
+        assert decoded_triples(subset, ctx) == triple_reference.zero_sum_triples(subset, ctx)
 
     @given(st.lists(st.tuples(*[st.integers(0, 1048572)] * 4), min_size=0, max_size=12))
     def test_matches_the_reference_at_a_large_prime(self, rows):
@@ -335,7 +354,7 @@ class TestZeroSumTriples:
         chars += [Character(s) for a, b in zip(chars, chars[1:])
                   if any(s := tuple((x + y) % ctx.p for x, y in zip(a.coords, b.coords)))]
         lines = sorted({line_of(chi, ctx) for chi in chars})
-        assert zero_sum_triples(lines, ctx) == triple_reference.zero_sum_triples(lines, ctx)
+        assert decoded_triples(lines, ctx) == triple_reference.zero_sum_triples(lines, ctx)
 
     @pytest.mark.parametrize("shape", [(3, 3), (5, 3), (3, 4), (7, 3), (3, 5)])
     def test_full_arrangement_count(self, shape):

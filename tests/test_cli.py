@@ -103,23 +103,32 @@ class TestVerify:
             ["phi-verify", "--p", "7", "--n", "2", "--cutoff", "5"],
             ["localize", "--p", "3", "--n", "3", "--cutoff", "5", "--lines",
              "1,0,0;0,1,0;1,1,0;1,1,1"],
+            ["relation-check", "--p", "3", "--n", "3"],
+            ["relation-check", "--p", "3", "--n", "3", "--verbatim"],
         ],
-        ids=["phi-verify", "localize"],
+        ids=["phi-verify", "localize", "relation-check", "relation-check-verbatim"],
     )
     def test_routes_construct_no_monomial_objects(self, argv, capsys, monkeypatch):
-        # both routes, presentation building included, read monomials as
-        # code rows only: no SuperMonomial is built
-        built = [0]
+        # both routes and the relation check, presentation building
+        # included, read monomials as code rows only: no SuperMonomial and
+        # no PolyExtElement is built
+        built = {"SuperMonomial": 0, "PolyExtElement": 0}
         post_init = superalg.SuperMonomial.__post_init__
+        init = oracle.PolyExtElement.__init__
 
         def counting_post_init(m):
-            built[0] += 1
+            built["SuperMonomial"] += 1
             post_init(m)
 
+        def counting_init(el, *args, **kwargs):
+            built["PolyExtElement"] += 1
+            init(el, *args, **kwargs)
+
         monkeypatch.setattr(superalg.SuperMonomial, "__post_init__", counting_post_init)
+        monkeypatch.setattr(oracle.PolyExtElement, "__init__", counting_init)
         code, _, _ = run_cli(argv, capsys)
         assert code in (0, 1)
-        assert built[0] == 0
+        assert built == {"SuperMonomial": 0, "PolyExtElement": 0}
 
 
 class TestUsageErrors:

@@ -13,6 +13,7 @@ from phiring.modp import (
     RowReducer,
     _remainder,
     check_exact,
+    inverses_mod,
     rref,
     sparse_pivots,
 )
@@ -350,3 +351,20 @@ def test_remainder_is_exact_on_both_paths(p):
         x = np.array(tiled, dtype=np.float64)
         _remainder(x, p)
         assert x.tolist() == [v % p for v in tiled]
+
+
+@given(st.sampled_from([3, 5, 7, 1048573, 67108859, 94906249]),
+       st.lists(st.integers(-(2**40), 2**40), max_size=20))
+def test_inverses_mod_match_pow(p, values):
+    values = [v for v in values if v % p] + [1, p - 1, -1]
+    got = inverses_mod(np.array(values).reshape(-1, 1), p)
+    assert got.shape == (len(values), 1)
+    assert got.ravel().tolist() == [pow(v, -1, p) for v in values]
+
+
+def test_inverses_mod_refuses_zero_and_large_primes():
+    with pytest.raises(ZeroDivisionError):
+        inverses_mod(np.array([1, 6, 2]), 3)
+    assert inverses_mod(np.array([], dtype=np.int64), 3).shape == (0,)
+    with pytest.raises(ValueError, match="2\\^53"):
+        inverses_mod(np.array([1]), 2**31 - 1)

@@ -15,13 +15,13 @@ from phiring.oracle import (
     PolyExtElement,
     d_euler_class,
     embed,
-    euler_class,
-    relation_image,
     span_rank,
     subring_hilbert,
+    vanishing,
 )
-from phiring.phi import build_phi_presentation
+from phiring.phi import build_phi_presentation, line_presentation
 from phiring.superalg import (
+    Presentation,
     SuperElement,
     SuperMonomial,
     exponent_rows,
@@ -29,7 +29,7 @@ from phiring.superalg import (
     monomial_codes,
 )
 from monomial_reference import encode, free_monomials
-from relation_reference import relation_families
+from relation_reference import euler_class, relation_families, relation_image
 from ro_reference import ro_words
 
 
@@ -134,16 +134,25 @@ class TestRelationImages:
         pres = build_phi_presentation(ctx)
         for rel in pres.relations:
             assert relation_image(rel, ctx).is_zero()
+        assert vanishing(pres).tolist() == [True] * len(pres.relations)
 
     def test_scaled_term_breaks_every_relation(self):
         # relation-check counts vanished relations; a wrong coefficient on
-        # any one term of any (3,3) relation must leave a nonzero image
-        ctx = GroupContext(3, 3)
-        for rel in build_phi_presentation(ctx).relations:
-            for m, c in rel.terms.items():
-                terms = dict(rel.terms)
-                terms[m] = 2 * c
-                assert not relation_image(SuperElement(ctx.p, terms), ctx).is_zero(), (rel, m)
+        # any one term of any relation must leave a nonzero image.  The
+        # verbatim keys are characters with scales != 1, and their relations
+        # carry u's on two characters of one line.
+        for p, n, verbatim in [(3, 3, False), (3, 2, True), (5, 2, True)]:
+            ctx = GroupContext(p, n)
+            pres = build_phi_presentation(ctx, verbatim)
+            scaled = []
+            for rel in pres.relations:
+                for m, c in rel.terms.items():
+                    terms = dict(rel.terms)
+                    terms[m] = 2 * c
+                    scaled.append(SuperElement(ctx.p, terms))
+                    assert not relation_image(scaled[-1], ctx).is_zero(), (rel, m)
+            assert len(scaled) == len(pres.coefs)
+            assert not vanishing(Presentation.from_elements(ctx, pres.gens, scaled)).any()
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_collinear_triples_rewrite_to_zero(self, p):
@@ -162,6 +171,65 @@ class TestRelationImages:
     def test_nonzero_element_has_nonzero_image(self):
         el = SuperElement.from_monomial(3, SuperMonomial.t(LINES32[0]))
         assert not relation_image(el, CTX32).is_zero()
+
+
+# the largest prime p with 2*(p-1)^2 + p < 2^53: at n = 2 the oracle's
+# products of linear forms are exact, at n = 3 check_exact refuses it
+P_AT_BOUND = 67108859
+
+
+class TestVanishing:
+    def test_prime_is_at_the_bound(self):
+        p = P_AT_BOUND
+        assert is_prime(p) and 2 * (p - 1) ** 2 + p < 2**53 <= 3 * (p - 1) ** 2 + p
+        assert not any(is_prime(q) for q in range(p + 1, isqrt((2**53 - p) // 2) + 2))
+
+    @given(st.integers(1, P_AT_BOUND - 1), st.integers(1, P_AT_BOUND - 1),
+           st.integers(1, P_AT_BOUND - 2), st.integers(0, 2**32 - 1))
+    def test_character_keys_at_a_prime_near_the_bound(self, k, m, r, seed):
+        # Character keys with large scales: the families of a zero-sum triple
+        # on three lines, and of a collinear one, whose odd terms have u's on
+        # two characters of one line.  Both checks find them vanish, and
+        # neither finds a relation with one term scaled by 2 vanish.
+        p = P_AT_BOUND
+        ctx = GroupContext(p, 2)
+        chi = C(k, 0)
+        triples = [(chi, C(0, m), C(p - k, p - m)),
+                   (chi, chi.scaled(r, p), chi.scaled(p - 1 - r, p))]
+        rels = [[rel for rel in relation_families(triple, ctx, rewrite_to_lines=False)
+                 if not rel.is_zero()] for triple in triples]
+        keys = sorted({key for rel in rels[0] + rels[1] for mono in rel.terms for key in mono.keys()})
+        for rel in rels[0] + rels[1]:
+            assert relation_image(rel, ctx).is_zero()
+        assert vanishing(Presentation.from_elements(ctx, keys, rels[0] + rels[1])).all()
+        # alone, the first triple's keys are one character per line, and
+        # for k < p/2 in the order of their lines
+        assert vanishing(Presentation.from_elements(ctx, triples[0], rels[0])).all()
+        rng = random.Random(seed)
+        scaled = []
+        for rel in rels[0]:
+            terms = dict(rel.terms)
+            mono = rng.choice(sorted(terms))
+            terms[mono] = 2 * terms[mono]
+            scaled.append(SuperElement(p, terms))
+            assert not relation_image(scaled[-1], ctx).is_zero()
+        assert not vanishing(Presentation.from_elements(ctx, keys, scaled)).any()
+
+    def test_max_weight_checks_the_lighter_relations_only(self):
+        ctx = GroupContext(3, 2)
+        pres = build_phi_presentation(ctx)
+        heavy = int(np.flatnonzero(pres.relation_weights == 4)[0])
+        coefs = pres.coefs.copy()
+        coefs[np.flatnonzero(pres.rel == heavy)[0]] *= 2
+        broken = Presentation(ctx, pres.gens, pres.codes, coefs, pres.rel)
+        assert vanishing(broken).tolist() == [r != heavy for r in range(len(pres.relations))]
+        light = vanishing(broken, 3)
+        assert len(light) == (pres.relation_weights <= 3).sum() and light.all()
+
+    def test_float64_bound_refused(self):
+        ctx = GroupContext(67108879, 2)
+        with pytest.raises(ValueError, match="2\\^53"):
+            vanishing(line_presentation(ctx, []))
 
 
 class TestSpanRank:
@@ -300,7 +368,10 @@ class TestSpanRankAgainstReference:
         assume(ms)
         rng = random.Random(seed)
         combination = SuperElement(ctx.p, {m: rng.randrange(1, ctx.p) for m in ms})
-        if relation_image(combination, ctx).is_zero():
+        zero = relation_image(combination, ctx).is_zero()
+        keys = encode(ms)[0]
+        assert vanishing(Presentation.from_elements(ctx, keys, [combination])).tolist() == [zero]
+        if zero:
             assert span_rank(*encode(ms), weight, ctx) < len(ms)
 
     @given(character_sets_with_dead_block())

@@ -1,12 +1,13 @@
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phiring.charspace import Character, GroupContext, enumerate_characters, enumerate_lines
-from phiring.oracle import relation_image
 from phiring.phi import (
     Comparison,
     build_phi_presentation,
@@ -16,8 +17,13 @@ from phiring.phi import (
     verbatim_presentation,
     verify_phi,
 )
-from phiring.superalg import SuperElement, free_monomial_count, quotient_dimension
-from relation_reference import line_relations, relation_families, verbatim_relations
+from phiring.superalg import Presentation, SuperElement, free_monomial_count, quotient_dimension
+from relation_reference import (
+    line_relations,
+    relation_families,
+    relation_image,
+    verbatim_relations,
+)
 
 CTX32 = GroupContext(3, 2)
 
@@ -204,3 +210,66 @@ class TestDominationCheck:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert proc.returncode != 0
         assert "RuntimeError: oracle dimension" in proc.stderr
+
+
+def scaled_term(pres, term=0):
+    """pres with the coefficient of one stored term doubled."""
+    coefs = pres.coefs.copy()
+    coefs[term] *= 2
+    return Presentation(pres.ctx, pres.gens, pres.codes, coefs, pres.rel)
+
+
+class TestVanishingGate:
+    """compare_routes checks that the relations vanish in the oracle before
+    it compares dimensions: a presentation with one scaled term raises on
+    both of its paths."""
+
+    def test_verify_phi_raises(self, monkeypatch):
+        import phiring.phi as phi_module
+
+        build = phi_module.build_phi_presentation
+        monkeypatch.setattr(phi_module, "build_phi_presentation",
+                            lambda ctx, verbatim_mode=False: scaled_term(build(ctx, verbatim_mode)))
+        with pytest.raises(RuntimeError, match="relation 4, of weight 2, does not vanish"):
+            verify_phi(CTX32, 4)
+
+    def test_localized_hilbert_raises(self, monkeypatch):
+        from phiring import rograde
+
+        ctx = GroupContext(3, 3)
+        lines = enumerate_lines(ctx)[:4]
+        pres = line_presentation(ctx, lines)
+        assert len(pres.relation_weights) and rograde.localized_hilbert(ctx, lines, 4).ok
+        monkeypatch.setattr(rograde, "line_presentation",
+                            lambda ctx, lines: scaled_term(line_presentation(ctx, lines)))
+        with pytest.raises(RuntimeError, match="does not vanish in the oracle"):
+            rograde.localized_hilbert(ctx, lines, 4)
+
+    def test_relations_above_the_cutoff_are_not_checked(self, monkeypatch):
+        import phiring.phi as phi_module
+
+        pres = build_phi_presentation(CTX32)
+        heavy = int(np.argmax(pres.relation_weights[pres.rel] == 4))  # a term of weight 4
+        build = phi_module.build_phi_presentation
+        monkeypatch.setattr(phi_module, "build_phi_presentation",
+                            lambda ctx, verbatim_mode=False: scaled_term(build(ctx), heavy))
+        assert verify_phi(CTX32, 3).ok
+        with pytest.raises(RuntimeError, match="of weight 4, does not vanish"):
+            verify_phi(CTX32, 4)
+
+    def test_check_survives_optimized_mode(self):
+        # python -O strips assert statements; the check must still raise
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, %r)\n"
+            "import phiring.phi as m\n"
+            "from phiring import cli\n"
+            "from test_phi import scaled_term\n"
+            "build = m.build_phi_presentation\n"
+            "m.build_phi_presentation = lambda ctx, verbatim_mode=False: "
+            "scaled_term(build(ctx, verbatim_mode))\n"
+            "cli.main(['phi-verify', '--p', '3', '--n', '2', '--cutoff', '4'])\n"
+        ) % str(Path(__file__).parent)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode != 0 and proc.stdout == ""
+        assert "RuntimeError: relation 4, of weight 2, does not vanish" in proc.stderr

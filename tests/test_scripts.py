@@ -76,6 +76,7 @@ def test_bench_defaults_cover_localize_and_ro_table():
     # presentation building, whose floor is the zero-sum triples, is timed too
     assert ["phi-verify", "--p", "7", "--n", "3", "--cutoff", "1"] in commands
     assert ["phi-verify", "--p", "3", "--n", "4", "--cutoff", "1"] in commands
+    assert ["relation-check", "--p", "5", "--n", "3"] in commands
     assert bench.parse_job("3,3,5") == (
         ["phi-verify", "--p", "3", "--n", "3", "--cutoff", "5"], (3, 3, 5))
 
