@@ -10,11 +10,13 @@ The even/odd generator pair attached to a line embeds as
 and every rank and vanishing question is settled on cleared numerators.
 The z's are nonzero divisors, so clearing is faithful and no fraction
 arithmetic is needed.  _line_data reads off code rows what both questions
-need: span_rank clears each dx-degree block of monomials to one
+need, and _numerators builds the cleared numerators of a block of rows:
+span_rank clears each dx-degree block of monomials to one
 componentwise-max denominator and eliminates the numerators with
-modp.rref; vanishing clears each relation to its own and checks that its
-numerators sum to 0.  Both build the numerators' products of linear forms
-and wedges of one-forms with one float64 routine, _products, and stay exact
+modp.rref; vanishing clears each relation to its own, scales each term by
+its coefficient and the unit and sign of _unit_sign, and checks that its
+numerators sum to 0.  The numerators' products of linear forms and wedges
+of one-forms come from one float64 routine, _products, and stay exact
 under the package's one bound, modp.check_exact.  PolyExtElement and embed,
 which gives a monomial's image as the pair (numerator, denominator
 exponents) in sparse dict arithmetic, are the tests' reference.
@@ -191,7 +193,7 @@ def span_rank(
     codes = np.asarray(codes, dtype=np.int64)
     if (codes.sum(axis=1) != weight).any():
         raise ValueError("every code row must have weight %d" % weight)
-    denom, odd, coords, _, _ = _line_data(keys, codes, ctx)
+    denom, odd, coords, _ = _line_data(keys, codes, ctx)
     # the wedge of two odd generators on one line is 0
     keep = (odd <= 1).all(axis=1)
     denom, odd = denom[keep], odd[keep]
@@ -199,7 +201,7 @@ def span_rank(
     rank, elim_s = 0, 0.0
     for k in np.flatnonzero(np.bincount(dx_degree)):
         block = dx_degree == k
-        rows = _block_rows(denom[block], odd[block], coords, ctx.p)
+        rows, _ = _numerators(denom[block].max(axis=0) - denom[block], odd[block], coords, ctx.p)
         built = time.perf_counter()
         rank += len(rref(rows, ctx.p)[1])
         elim_s += time.perf_counter() - built
@@ -211,42 +213,47 @@ def span_rank(
 
 def _line_data(keys: Sequence, codes: np.ndarray, ctx: GroupContext):
     """What the oracle reads off code rows over keys, in the layout of
-    superalg.monomial_codes: the image of the monomial of a row is
-    unit * sign * omega / prod_L z_L^denom[L], omega the wedge of the dz's
-    of its u-lines in line order.  Returns, lines in sorted order:
+    superalg.monomial_codes: the image of the monomial of a row is a unit
+    times +-omega / prod_L z_L^denom[L], omega the wedge of the dz's of
+    its u-lines in line order.  Returns, lines in sorted order:
 
     * denom and odd, one row per code row: the denominator exponent (t + u
       of the line's keys) and the u count on each line, in the dtype of
       codes;
     * coords, the lines' coordinates as float64 rows;
-    * unit, per row prod_i scale_i^(-t_i) mod p, from the keys
-      k*L.rep = scale*L.rep that Character keys are (t over it is 1/k times
-      t over L, u over it is u over L), 1 for Line keys;
-    * sign, per row the parity of the permutation that takes its u's from
-      key order to line order, +1 when the keys are in line order, as
-      sorted Line keys are.
+    * the scatter (rows, cols, position, scales) that _unit_sign reads:
+      the row and the key of each nonzero code, and per key the index of
+      its line and its scale (a Character key k*L.rep is scale * L.rep, a
+      Line key has scale 1).
     """
-    p = ctx.p
     split = [_line_scale(key, ctx) for key in keys]
     lines = sorted({line for line, _ in split})
     line_index = {line: j for j, line in enumerate(lines)}
     position = np.array([line_index[line] for line, _ in split], dtype=np.intp)
+    scales = np.array([scale for _, scale in split], dtype=np.int64)
     coords = np.array([line.rep.coords for line in lines], dtype=np.float64)
     coords = coords.reshape(len(lines), ctx.n)
-    scales = np.array([scale for _, scale in split], dtype=np.int64)
-    unit = np.ones(len(codes), dtype=np.int64)
-    sign = np.ones(len(codes), dtype=np.int64)
-    if (position == np.arange(len(keys))).all() and (scales == 1).all():
-        # the keys are the line reps, in order
-        odd = codes[:, :len(lines)] & 1
-        return (codes[:, :len(lines)] >> 1) + odd, odd, coords, unit, sign
     rows, cols = np.nonzero(codes)
     code = codes[rows, cols]
-    t, u = code >> 1, code & 1
+    at = (rows, position[cols])
     denom = np.zeros((len(codes), len(lines)), dtype=codes.dtype)
     odd = np.zeros_like(denom)
-    np.add.at(denom, (rows, position[cols]), t + u)
-    np.add.at(odd, (rows, position[cols]), u)
+    np.add.at(denom, at, (code + 1) // 2)
+    np.add.at(odd, at, code & 1)
+    return denom, odd, coords, (rows, cols, position, scales)
+
+
+def _unit_sign(codes: np.ndarray, scatter, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per code row, the unit and the sign of its image in _line_data's
+    form: the unit is prod_i scale_i^(-t_i) mod p, since t over k*L.rep =
+    scale * L.rep is 1/scale times t over L and u over it is u over L; the
+    sign is the parity of the permutation that takes the row's u's from key
+    order to line order, +1 when the keys are in line order, as sorted Line
+    keys are."""
+    rows, cols, position, scales = scatter
+    code = codes[rows, cols]
+    t, u = code >> 1, code & 1
+    unit = np.ones(len(codes), dtype=np.int64)
     if (scales != 1).any():
         # one factor 1/scale per t, multiplied in by its rank in the row
         t_rows = np.repeat(rows, t)
@@ -258,13 +265,12 @@ def _line_data(keys: Sequence, codes: np.ndarray, ctx: GroupContext):
     # the inversions between the u's of a row, d apart in key order
     u_rows, u_lines = rows[u == 1], position[cols[u == 1]]
     flips = np.zeros(len(codes), dtype=np.int64)
-    for d in range(1, len(keys)):
+    for d in range(1, len(scales)):
         pair = u_rows[d:] == u_rows[:-d]
         if not pair.any():
             break
         flips += np.bincount(u_rows[d:][pair & (u_lines[:-d] > u_lines[d:])], minlength=len(codes))
-    sign -= 2 * (flips & 1)
-    return denom, odd, coords, unit, sign
+    return unit, 1 - 2 * (flips & 1)
 
 
 def vanishing(pres: Presentation, max_weight: int | None = None) -> np.ndarray:
@@ -274,14 +280,14 @@ def vanishing(pres: Presentation, max_weight: int | None = None) -> np.ndarray:
 
     A relation is brought to its own componentwise-max denominator, a
     nonzero divisor, so it vanishes exactly when its numerator
-    sum_m c_m * unit_m * sign_m * P_m (x) omega_m is 0 (_line_data gives the
+    sum_m c_m * unit_m * sign_m * P_m (x) omega_m is 0 (_unit_sign gives the
     unit and the sign; a term with two u's on one line is 0 and is left
     out).  The terms of one relation and one dx-degree k share the
     numerator degree D, sum(max denominator) - (weight + k)/2, so the terms
-    split by (k, D) into blocks where _products builds every P and every
-    omega at once, as in span_rank's blocks; a relation vanishes when its
-    rows sum to 0 in every block.  Entries stay exact
-    under modp.check_exact(n, p), which is checked (ValueError past it).
+    split by (k, D) into blocks, whose rows _numerators builds as it does
+    span_rank's; a relation vanishes when its rows, scaled by
+    c * unit * sign, sum to 0 in every block.  Entries stay exact under
+    modp.check_exact(n, p), which is checked (ValueError past it).
     """
     ctx, p = pres.ctx, pres.ctx.p
     check_exact(ctx.n, p)
@@ -289,7 +295,9 @@ def vanishing(pres: Presentation, max_weight: int | None = None) -> np.ndarray:
     checked = weights <= (weights.max(initial=0) if max_weight is None else max_weight)
     # the terms come by relation weight, then relation id
     terms = int(checked[pres.rel].sum())
-    denom, odd, coords, unit, sign = _line_data(pres.keys, pres.codes[:terms], ctx)
+    codes = pres.codes[:terms]
+    denom, odd, coords, scatter = _line_data(pres.keys, codes, ctx)
+    unit, sign = _unit_sign(codes, scatter, p)
     live = (odd <= 1).all(axis=1)
     denom, odd, rel = denom[live], odd[live], pres.rel[:terms][live]
     scalar = pres.coefs[:terms][live] * unit[live] % p * sign[live] % p
@@ -302,17 +310,16 @@ def vanishing(pres: Presentation, max_weight: int | None = None) -> np.ndarray:
         degree = comps.sum(axis=1, dtype=np.int64)
         block = dx_degree * (degree.max() + 1) + degree
         for b in np.flatnonzero(np.bincount(block)):
-            at = block == b
-            polys = _products(_factors(comps[at], coords), p, _times_x)
-            omegas = _products(_factors(odd[at], coords), p, _wedge_x)
-            polys *= scalar[at][:, None]
-            _remainder(polys, p)
-            rows = (polys[:, :, None] * omegas[:, None, :]).reshape(len(polys), -1)
+            at = np.flatnonzero(block == b)
+            rows, kept = _numerators(comps[at], odd[at], coords, p)
+            at = at[kept]
+            if not len(at):
+                continue
+            rows *= scalar[at][:, None]
             _remainder(rows, p)
-            block_rel = rel[at]
-            starts = np.flatnonzero(np.diff(block_rel, prepend=-1))
-            sums = np.add.reduceat(rows.astype(np.int64), starts) % p
-            vanished[block_rel[starts]] &= ~sums.any(axis=1)
+            starts = np.flatnonzero(np.diff(rel[at], prepend=-1))
+            sums = np.add.reduceat(rows, starts) % p
+            vanished[rel[at][starts]] &= ~sums.any(axis=1)
     return vanished[checked]
 
 
@@ -323,7 +330,7 @@ def block_shapes(num_lines: int, weight: int, n: int) -> dict[int, tuple[int, in
 
     A block monomial carries h = (w - k)/2 t's and k u's on distinct lines,
     so there are C(g, k)*C(h + g - 1, g - 1) of them: an upper bound on the
-    rows, since _block_rows drops the rows whose u-lines are dependent.
+    rows, since _numerators drops the rows whose u-lines are dependent.
     Every line reaches the max denominator h + [k >= 1], so the cleared
     numerators have x-degree D = g*(h + [k >= 1]) - h - k, and the columns,
     degree-D x-monomials times k-subsets of the dx's, number exactly
@@ -336,15 +343,19 @@ def block_shapes(num_lines: int, weight: int, n: int) -> dict[int, tuple[int, in
     return shapes
 
 
-def _block_rows(denom: np.ndarray, odd: np.ndarray, coords: np.ndarray, p: int) -> np.ndarray:
-    """The cleared numerators P (x) omega of one dx-degree block, given each
-    monomial's denominator exponents and u counts per line, as float64 rows
-    with entries in [0, p), ready for rref; all-zero rows are left out."""
-    comps, p_idx = _group(denom.max(axis=0) - denom)
+def _numerators(comps: np.ndarray, odd: np.ndarray, coords: np.ndarray, p: int):
+    """The cleared numerators P (x) omega of rows of one dx-degree k and one
+    numerator degree D, given each row's clearing exponents comps (P is the
+    product of z_L^comps[L]) and its u count on each line (omega is the
+    wedge of those dz's in line order), as float64 rows over the degree-D
+    x-monomials times the k-subsets of the dx's, with entries in [0, p);
+    and the mask of the rows built: omega is 0 when the u-lines are
+    dependent, and those rows are left out."""
+    comps, p_idx = _group(comps)
     u_sets, omega_idx = _group(odd)
     polys = _products(_factors(comps, coords), p, _times_x)
     omegas = _products(_factors(u_sets, coords), p, _wedge_x)
-    # omega is 0 when the u-lines are dependent, and P never is
+    # P is never 0
     live = omegas.any(axis=1)[omega_idx]
     p_idx, omega_idx = p_idx[live], omega_idx[live]
     # An entry is one product of two residues; the rows are built a slab at
@@ -356,13 +367,13 @@ def _block_rows(denom: np.ndarray, odd: np.ndarray, coords: np.ndarray, p: int) 
         np.multiply(polys[p_idx[at]][:, :, None], omegas[omega_idx[at]][:, None, :],
                     out=part.reshape(len(part), polys.shape[1], omegas.shape[1]))
         _remainder(part, p)
-    return rows
+    return rows, live
 
 
 def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows, in lex order, and the index among them of each
-    row."""
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    """The distinct rows, in the byte order of _packed, and the index among
+    them of each row."""
+    order = np.argsort(_packed(rows)) if rows.shape[1] else np.arange(len(rows))
     ordered = rows[order]
     new = np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1)))
     index = np.empty(len(rows), dtype=np.intp)

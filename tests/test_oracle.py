@@ -215,6 +215,39 @@ class TestVanishing:
             assert not relation_image(scaled[-1], ctx).is_zero()
         assert not vanishing(Presentation.from_elements(ctx, keys, scaled)).any()
 
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    @pytest.mark.parametrize("t_scale", [0, 1, 3])
+    def test_dead_terms_beside_live_ones(self, perm, t_scale):
+        # u's on three distinct coplanar lines wedge to 0, so the first,
+        # dead, term of each relation drops out whatever its coefficient,
+        # and the two live terms, u's over d and over 2d, which share a
+        # line, cancel.  Each dead term comes before the live terms of its
+        # dx-degree block; each term may carry a t over 3a (scale 3 when
+        # t_scale is 3, over a itself when 1).
+        p = 5
+        ctx = GroupContext(p, 3)
+
+        def key(*coords):
+            return C(*(coords[i] for i in perm))
+
+        a, b, c, d = key(1, 0, 0), key(0, 1, 0), key(1, 1, 0), key(0, 0, 1)
+        d2 = d.scaled(2, p)
+
+        def mono(*us):
+            t_exp = ((a.scaled(t_scale, p), 1),) if t_scale else ()
+            return SuperMonomial(t_exp, tuple(sorted(us)))
+
+        dead, live, twin = mono(a, b, c), mono(a, b, d), mono(a, b, d2)
+        keys = sorted({k for m in (dead, live, twin) for k in m.keys()})
+        rels, scaled = [], []
+        for coef in range(1, p):
+            rel = SuperElement(p, {dead: 3, live: 2, twin: coef})
+            if relation_image(rel, ctx).is_zero():
+                rels.append(rel)
+                scaled.append(SuperElement(p, {dead: 3, live: 4, twin: coef}))
+        assert len(rels) == 1 and not relation_image(scaled[0], ctx).is_zero()
+        assert vanishing(Presentation.from_elements(ctx, keys, rels + scaled)).tolist() == [True, False]
+
     def test_max_weight_checks_the_lighter_relations_only(self):
         ctx = GroupContext(3, 2)
         pres = build_phi_presentation(ctx)
@@ -476,14 +509,14 @@ class TestBlockShapes:
         # columns equal the built ones, rows bound them; a block past dx-degree
         # n has no columns and no closed form
         built = {}
-        real_block_rows = oracle._block_rows
+        real_numerators = oracle._numerators
 
-        def spy_block_rows(denom, odd, coords, p):
-            rows = real_block_rows(denom, odd, coords, p)
+        def spy_numerators(comps, odd, coords, p):
+            rows, live = real_numerators(comps, odd, coords, p)
             built[int(odd[0].sum())] = rows.shape
-            return rows
+            return rows, live
 
-        monkeypatch.setattr(oracle, "_block_rows", spy_block_rows)
+        monkeypatch.setattr(oracle, "_numerators", spy_numerators)
         ctx = GroupContext(p, n)
         lines = enumerate_lines(ctx)
         if size is not None:
